@@ -21,7 +21,9 @@
 //	    func(row acyclicjoin.Row) { fmt.Println(row) })
 //	fmt.Println(res.Stats.IOs)
 //
-// String values are dictionary-encoded transparently; Explain reports edge
+// String values are dictionary-encoded transparently. Each attribute holds
+// one kind of value, integers or strings, fixed by its first Add; Explain
+// reports edge
 // covers, the AGM bound, and the paper's GenS-based cost bound for a query.
 package acyclicjoin
 
@@ -33,7 +35,8 @@ import (
 	"acyclicjoin/internal/tuple"
 )
 
-// Value is a column value: int64 or string (dictionary-encoded internally).
+// Value is a column value: an integer (int, int64, int32 or uint32) or a
+// string (dictionary-encoded internally).
 type Value interface{}
 
 // Row is one join result keyed by attribute name.
@@ -113,10 +116,14 @@ func (b *QueryBuilder) Build() (*Query, error) {
 		attrIDs:   map[string]int{},
 		attrNames: append([]string{}, b.attrNames...),
 		relAttrs:  make([][]string, len(b.relAttrs)),
+		relSchema: make([]tuple.Schema, len(b.relAttrs)),
 	}
 	for i, name := range b.relNames {
 		q.relIndex[name] = i
 		q.relAttrs[i] = append([]string{}, b.relAttrs[i]...)
+		for _, a := range b.relAttrs[i] {
+			q.relSchema[i] = append(q.relSchema[i], b.attrIDs[a])
+		}
 	}
 	for a, id := range b.attrIDs {
 		q.attrIDs[a] = id
@@ -126,9 +133,11 @@ func (b *QueryBuilder) Build() (*Query, error) {
 
 // Query is a validated Berge-acyclic join query.
 type Query struct {
-	graph     *hypergraph.Graph
-	relIndex  map[string]int
-	relAttrs  [][]string
+	graph    *hypergraph.Graph
+	relIndex map[string]int
+	relAttrs [][]string
+	// relSchema[i] holds the attribute IDs of relation i, in order.
+	relSchema []tuple.Schema
 	attrIDs   map[string]int
 	attrNames []string
 }
@@ -178,15 +187,34 @@ type Instance struct {
 	rows [][]tuple.Tuple
 	seen []map[string]bool
 	dict *dictionary
+	// kinds[id] is what attribute id holds, fixed by its first Add.
+	kinds []valueKind
+}
+
+// valueKind is the kind of value an attribute holds.
+type valueKind uint8
+
+const (
+	kindNone valueKind = iota // no value added yet
+	kindInt
+	kindString
+)
+
+func (k valueKind) String() string {
+	if k == kindString {
+		return "strings"
+	}
+	return "integers"
 }
 
 // NewInstance creates an empty instance of the query.
 func (q *Query) NewInstance() *Instance {
 	in := &Instance{
-		q:    q,
-		rows: make([][]tuple.Tuple, len(q.relAttrs)),
-		seen: make([]map[string]bool, len(q.relAttrs)),
-		dict: newDictionary(),
+		q:     q,
+		rows:  make([][]tuple.Tuple, len(q.relAttrs)),
+		seen:  make([]map[string]bool, len(q.relAttrs)),
+		dict:  newDictionary(),
+		kinds: make([]valueKind, len(q.attrNames)),
 	}
 	for i := range in.seen {
 		in.seen[i] = map[string]bool{}
@@ -195,25 +223,47 @@ func (q *Query) NewInstance() *Instance {
 }
 
 // Add appends one tuple to the named relation, with values given in the
-// relation's declared attribute order. Values may be any integer type or
-// string. Duplicate tuples are ignored.
+// relation's declared attribute order. Values may be integers (int, int64,
+// int32, uint32) or strings, but an attribute's first value fixes its kind:
+// a later value of the other kind is rejected, in any relation. The integer
+// -1<<62 is reserved and rejected. A rejected tuple leaves the instance
+// unchanged. Duplicate tuples are ignored.
 func (in *Instance) Add(relationName string, values ...Value) error {
 	i, ok := in.q.relIndex[relationName]
 	if !ok {
 		return fmt.Errorf("acyclicjoin: unknown relation %q", relationName)
 	}
-	if len(values) != len(in.q.relAttrs[i]) {
+	attrs, schema := in.q.relAttrs[i], in.q.relSchema[i]
+	if len(values) != len(attrs) {
 		return fmt.Errorf("acyclicjoin: relation %q expects %d values, got %d",
-			relationName, len(in.q.relAttrs[i]), len(values))
+			relationName, len(attrs), len(values))
+	}
+	for j, v := range values {
+		kind := kindString
+		if n, ok := intValue(v); ok {
+			kind = kindInt
+			if n == tuple.Unset {
+				return fmt.Errorf("acyclicjoin: relation %q column %q: integer %d is reserved",
+					relationName, attrs[j], n)
+			}
+		} else if _, ok := v.(string); !ok {
+			return fmt.Errorf("acyclicjoin: relation %q column %q: unsupported value type %T",
+				relationName, attrs[j], v)
+		}
+		if have := in.kinds[schema[j]]; have != kindNone && have != kind {
+			return fmt.Errorf("acyclicjoin: relation %q column %q: value %#v in an attribute that holds %s",
+				relationName, attrs[j], v, have)
+		}
 	}
 	t := make(tuple.Tuple, len(values))
 	for j, v := range values {
-		enc, err := in.dict.encode(v)
-		if err != nil {
-			return fmt.Errorf("acyclicjoin: relation %q column %q: %w",
-				relationName, in.q.relAttrs[i][j], err)
+		if n, ok := intValue(v); ok {
+			t[j] = n
+			in.kinds[schema[j]] = kindInt
+		} else {
+			t[j] = in.dict.encode(v.(string))
+			in.kinds[schema[j]] = kindString
 		}
-		t[j] = enc
 	}
 	k := keyOf(t)
 	if in.seen[i][k] {
@@ -249,9 +299,34 @@ func keyOf(t tuple.Tuple) string {
 	return string(b)
 }
 
-// dictionary encodes strings as negative integers (distinct from any
-// caller-supplied int, which must be non-negative when strings are mixed in
-// the same attribute; pure-integer columns are stored as-is).
+// intValue converts the supported integer types to int64.
+func intValue(v Value) (int64, bool) {
+	switch x := v.(type) {
+	case int:
+		return int64(x), true
+	case int64:
+		return x, true
+	case int32:
+		return int64(x), true
+	case uint32:
+		return int64(x), true
+	}
+	return 0, false
+}
+
+// decode turns the encoded value x of attribute id back into a Value, by the
+// attribute's kind: the dictionary's string codes are negative and can equal
+// an integer another attribute holds, so the value alone cannot tell.
+func (in *Instance) decode(id int, x int64) Value {
+	if in.kinds[id] == kindString {
+		return in.dict.byStr[-2-x]
+	}
+	return x
+}
+
+// dictionary encodes strings as the negative integers -2, -3, .... Codes
+// only ever meet other codes: an attribute holds strings or integers, never
+// both.
 type dictionary struct {
 	byStr []string
 	ids   map[string]int64
@@ -261,35 +336,12 @@ func newDictionary() *dictionary {
 	return &dictionary{ids: map[string]int64{}}
 }
 
-func (d *dictionary) encode(v Value) (int64, error) {
-	switch x := v.(type) {
-	case int:
-		return int64(x), nil
-	case int64:
-		return x, nil
-	case int32:
-		return int64(x), nil
-	case uint32:
-		return int64(x), nil
-	case string:
-		if id, ok := d.ids[x]; ok {
-			return id, nil
-		}
-		id := int64(-2 - len(d.byStr)) // -2, -3, ... (avoid tuple.Unset)
-		d.ids[x] = id
-		d.byStr = append(d.byStr, x)
-		return id, nil
-	default:
-		return 0, fmt.Errorf("unsupported value type %T", v)
+func (d *dictionary) encode(x string) int64 {
+	if id, ok := d.ids[x]; ok {
+		return id
 	}
-}
-
-func (d *dictionary) decode(x int64) Value {
-	if x <= -2 {
-		i := int(-2 - x)
-		if i < len(d.byStr) {
-			return d.byStr[i]
-		}
-	}
-	return x
+	id := int64(-2 - len(d.byStr))
+	d.ids[x] = id
+	d.byStr = append(d.byStr, x)
+	return id
 }

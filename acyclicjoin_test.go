@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
+
+	"acyclicjoin/internal/tuple"
 )
 
 func buildL2(t *testing.T) *Query {
@@ -101,7 +104,7 @@ func TestRunSimpleJoin(t *testing.T) {
 	in.MustAdd("R2", 10, 100)
 	in.MustAdd("R2", 10, 101)
 	var rows []Row
-	res, err := Run(q, in, Options{Memory: 16, Block: 4}, func(r Row) { rows = append(rows, r) })
+	res, err := Run(q, in, envOptions(t, Options{Memory: 16, Block: 4}), func(r Row) { rows = append(rows, r) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +136,7 @@ func TestRunWithStrings(t *testing.T) {
 	in.MustAdd("Cities", "tokyo", "japan")
 	in.MustAdd("Cities", "lima", "peru")
 	var rows []Row
-	if _, err := Run(q, in, Options{Memory: 16, Block: 4}, func(r Row) {
+	if _, err := Run(q, in, envOptions(t, Options{Memory: 16, Block: 4}), func(r Row) {
 		rows = append(rows, r)
 	}); err != nil {
 		t.Fatal(err)
@@ -154,7 +157,7 @@ func TestCountOnly(t *testing.T) {
 		in.MustAdd("R1", i, i%4)
 		in.MustAdd("R2", i%4, i)
 	}
-	res, err := Count(q, in, Options{Memory: 16, Block: 4})
+	res, err := Count(q, in, envOptions(t, Options{Memory: 16, Block: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +189,11 @@ func TestRunLineSpecialization(t *testing.T) {
 	// Pinned unsharded: the plan-name contrast below is about the line
 	// dispatcher, which a sharded run (e.g. the $ACYCLICJOIN_SHARDS CI
 	// sweep) legitimately routes around.
-	specialized, err := Count(q, in, Options{Memory: 16, Block: 4, Shards: 1})
+	specialized, err := Count(q, in, envOptions(t, Options{Memory: 16, Block: 4, Shards: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	general, err := Count(q, in, Options{Memory: 16, Block: 4, Shards: 1, NoLineSpecialization: true})
+	general, err := Count(q, in, envOptions(t, Options{Memory: 16, Block: 4, Shards: 1, NoLineSpecialization: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +209,7 @@ func TestRunRejectsForeignInstance(t *testing.T) {
 	q1 := buildL2(t)
 	q2 := buildL2(t)
 	in := q2.NewInstance()
-	if _, err := Run(q1, in, Options{}, nil); err == nil {
+	if _, err := Run(q1, in, envOptions(t, Options{}), nil); err == nil {
 		t.Fatal("foreign instance accepted")
 	}
 }
@@ -229,7 +232,7 @@ func TestStrategiesAgree(t *testing.T) {
 	}
 	var counts []int64
 	for _, s := range []Strategy{StrategyFirst, StrategySmallest, StrategyExhaustive} {
-		res, err := Count(q, in, Options{Memory: 16, Block: 4, Strategy: s})
+		res, err := Count(q, in, envOptions(t, Options{Memory: 16, Block: 4, Strategy: s}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,11 +290,11 @@ func TestSkipReduceStillCorrect(t *testing.T) {
 	in.MustAdd("R1", 1, 10)
 	in.MustAdd("R1", 2, 99) // dangling
 	in.MustAdd("R2", 10, 100)
-	a, err := Count(q, in, Options{Memory: 16, Block: 4})
+	a, err := Count(q, in, envOptions(t, Options{Memory: 16, Block: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Count(q, in, Options{Memory: 16, Block: 4, SkipReduce: true})
+	b, err := Count(q, in, envOptions(t, Options{Memory: 16, Block: 4, SkipReduce: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,4 +318,81 @@ func ExampleRun() {
 	// Output:
 	// ann -> bob -> cat
 	// results: 1
+}
+
+// runRows runs q over in and returns the emitted rows.
+func runRows(t *testing.T, q *Query, in *Instance) []Row {
+	t.Helper()
+	var rows []Row
+	if _, err := Run(q, in, envOptions(t, Options{Memory: 16, Block: 4}), func(r Row) {
+		rows = append(rows, r)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// The integer that marks an unbound attribute inside the engine cannot be a
+// value: R(2, Unset) ⋈ S(Unset, 9) would otherwise emit {A:2, C:9} with B
+// silently missing.
+func TestAddRejectsUnsetSentinel(t *testing.T) {
+	q := buildL2(t)
+	in := q.NewInstance()
+	for _, c := range []struct {
+		rel  string
+		vals []Value
+		col  string
+	}{
+		{"R1", []Value{2, tuple.Unset}, `column "B"`},
+		{"R2", []Value{int64(tuple.Unset), 9}, `column "B"`},
+	} {
+		err := in.Add(c.rel, c.vals...)
+		if err == nil || !strings.Contains(err.Error(), `relation "`+c.rel+`"`) || !strings.Contains(err.Error(), c.col) {
+			t.Fatalf("Add(%s, %v) = %v, want an error naming the relation and %s", c.rel, c.vals, err, c.col)
+		}
+	}
+	if in.Size("R1") != 0 || in.Size("R2") != 0 {
+		t.Fatalf("rejected tuples were stored: sizes %d, %d", in.Size("R1"), in.Size("R2"))
+	}
+	// The rejected R1(2, Unset) left A's kind open.
+	in.MustAdd("R1", "a", 5)
+	if rows := runRows(t, q, in); len(rows) != 0 {
+		t.Fatalf("rows = %v, want none", rows)
+	}
+}
+
+// An attribute's first value fixes its kind: R(1,-2) ⋈ S(-2,7) with a
+// rejected S("x",8) is exactly {A:1, B:-2, C:7}, and a rejected tuple leaves
+// no trace.
+func TestAddRejectsMixedKinds(t *testing.T) {
+	q := buildL2(t)
+	in := q.NewInstance()
+	in.MustAdd("R1", 1, -2)
+	in.MustAdd("R2", -2, 7)
+	err := in.Add("R2", "x", 8)
+	if err == nil || !strings.Contains(err.Error(), `relation "R2" column "B"`) {
+		t.Fatalf(`Add(R2, "x", 8) = %v, want an error naming relation R2 column B`, err)
+	}
+	rows := runRows(t, q, in)
+	want := Row{"A": int64(1), "B": int64(-2), "C": int64(7)}
+	if len(rows) != 1 || fmt.Sprint(rows[0]) != fmt.Sprint(want) {
+		t.Fatalf("rows = %v, want exactly [%v]", rows, want)
+	}
+	if in.Size("R2") != 1 {
+		t.Fatalf("R2 size = %d, want 1: the rejected tuple was stored", in.Size("R2"))
+	}
+}
+
+// String codes are negative, so an integer in one attribute can equal a
+// string's code in another; decoding goes by the attribute's kind.
+func TestDecodeByAttributeKind(t *testing.T) {
+	q := buildL2(t)
+	in := q.NewInstance()
+	in.MustAdd("R1", "x", -2) // "x" is the first string: code -2
+	in.MustAdd("R2", -2, -3)
+	rows := runRows(t, q, in)
+	want := Row{"A": "x", "B": int64(-2), "C": int64(-3)}
+	if len(rows) != 1 || fmt.Sprint(rows[0]) != fmt.Sprint(want) {
+		t.Fatalf("rows = %v, want exactly [%v]", rows, want)
+	}
 }

@@ -96,10 +96,11 @@ func BenchmarkPublicAPIRun(b *testing.B) {
 		inst.MustAdd("F3", src, dst)
 	}
 	b.ReportAllocs()
+	opts := envOptions(b, Options{Memory: 1024, Block: 64})
 	b.ResetTimer()
 	var ios int64
 	for i := 0; i < b.N; i++ {
-		res, err := Count(q, inst, Options{Memory: 1024, Block: 64})
+		res, err := Count(q, inst, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -136,11 +137,12 @@ func BenchmarkExhaustiveParallelism(b *testing.B) {
 	for _, p := range []int{0, 2, 4, 8} {
 		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
 			b.ReportAllocs()
+			opts := envOptions(b, Options{
+				Memory: 512, Block: 32, NoLineSpecialization: true, Parallelism: p,
+				NoPrune: true,
+			})
 			for i := 0; i < b.N; i++ {
-				res, err := Count(q, inst, Options{
-					Memory: 512, Block: 32, NoLineSpecialization: true, Parallelism: p,
-					NoPrune: true,
-				})
+				res, err := Count(q, inst, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -189,12 +191,13 @@ func BenchmarkStrategies(b *testing.B) {
 	} {
 		b.Run(s.name, func(b *testing.B) {
 			q, inst := mk()
+			opts := envOptions(b, Options{
+				Memory: 512, Block: 32, Strategy: s.st, NoLineSpecialization: true,
+			})
 			b.ResetTimer()
 			var ios int64
 			for i := 0; i < b.N; i++ {
-				res, err := Count(q, inst, Options{
-					Memory: 512, Block: 32, Strategy: s.st, NoLineSpecialization: true,
-				})
+				res, err := Count(q, inst, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

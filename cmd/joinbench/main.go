@@ -26,6 +26,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 
+	"acyclicjoin/internal/cli"
 	"acyclicjoin/internal/harness"
 )
 
@@ -37,7 +38,7 @@ type config struct {
 	seed                            int64
 	list                            bool
 	verify, par, shards             int
-	opcache, sortcache, prune       bool
+	opcache, prune                  bool
 	backend, datadir, strategy      string
 	syncdevice                      bool
 	benchjson, prunejson, chaosjson string
@@ -59,7 +60,6 @@ func main() {
 	flag.IntVar(&c.verify, "verify", 0, "run a randomized correctness sweep with this many trials per configuration and exit")
 	flag.IntVar(&c.par, "parallel", 1, "run up to this many experiments concurrently (tables are identical at any setting)")
 	flag.BoolVar(&c.opcache, "opcache", true, "use the charge-replay operator memo (tables are byte-identical either way; off forces every operator to run for real)")
-	flag.BoolVar(&c.sortcache, "sortcache", true, "deprecated synonym for -opcache (the memo now covers all deterministic operators); either flag set to false disables it")
 	flag.BoolVar(&c.prune, "prune", true, "branch-and-bound pruning of exhaustive dry runs (tables are byte-identical either way; off restores the paper's full Σ-branches accounting in the experiments that honor it)")
 	flag.StringVar(&c.benchjson, "benchjson", "", "write the machine-readable operator-memo benchmark (wall-clock, I/O, hit rate, evictions) to this file and exit")
 	flag.StringVar(&c.prunejson, "prunejson", "", "write the machine-readable pruning benchmark (wall-clock, planning I/Os saved, branches pruned) to this file and exit")
@@ -102,10 +102,9 @@ func main() {
 	os.Exit(run(ctx, c))
 }
 
-// run holds the real main so profile writers run before os.Exit. The
-// -opcache/-sortcache pair maps one-to-one onto the harness fields, which
-// resolve the deprecated alias exactly like core.Options: the memo is off
-// when either flag is off.
+// run holds the real main so profile writers run before os.Exit. Unset
+// -strategy, -backend, -datadir, -syncdevice, -shards and -devfault* flags
+// fall back to their ACYCLICJOIN_* environment variables.
 func run(ctx context.Context, c config) int {
 	if c.cpuprof != "" {
 		f, err := os.Create(c.cpuprof)
@@ -142,11 +141,18 @@ func run(ctx context.Context, c config) int {
 		return 0
 	}
 
+	env, err := cli.Config{Strategy: c.strategy, Backend: c.backend, DataDir: c.datadir,
+		SyncDevice: c.syncdevice, Shards: c.shards,
+		DevFaultRate: c.devfaultrate, DevFaultSeed: c.devfaultseed}.FromEnv()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "joinbench: %v\n", err)
+		return 2
+	}
 	p := harness.Params{M: c.m, B: c.b, Scale: c.scale, Seed: c.seed,
-		NoMemo: !c.opcache, NoSortCache: !c.sortcache, NoPrune: !c.prune,
-		Backend: c.backend, DataDir: c.datadir, SyncDevice: c.syncdevice,
-		Strategy: c.strategy, Shards: c.shards,
-		DevFaultRate: c.devfaultrate, DevFaultSeed: c.devfaultseed}
+		NoMemo: !c.opcache, NoPrune: !c.prune,
+		Backend: env.Backend, DataDir: env.DataDir, SyncDevice: env.SyncDevice,
+		Strategy: env.Strategy, Shards: env.Shards,
+		DevFaultRate: env.DevFaultRate, DevFaultSeed: env.DevFaultSeed}
 
 	if c.prunejson != "" {
 		res, err := harness.PruneBench(p)

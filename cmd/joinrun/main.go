@@ -49,6 +49,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: joinrun [flags] Name:attr1,attr2=file.csv ...")
 		os.Exit(2)
 	}
+	env, err := cli.Config{Strategy: *strat, Backend: *backend, DataDir: *datadir, SyncDevice: *syncDev,
+		Shards: *shards, DevFaultRate: *devRate, DevFaultSeed: *devSeed}.FromEnv()
+	if err != nil {
+		fatal("joinrun: %v", err)
+	}
 
 	qb := acyclicjoin.NewQuery()
 	type load struct {
@@ -79,24 +84,14 @@ func main() {
 	}
 
 	opts := acyclicjoin.Options{Memory: *m, Block: *b, Parallelism: *par, NoPrune: !*prune,
-		Backend: *backend, DataDir: *datadir, SyncDevice: *syncDev, Shards: *shards}
+		Backend: env.Backend, DataDir: env.DataDir, SyncDevice: env.SyncDevice, Shards: env.Shards}
 	if *faultRate > 0 {
 		opts.Faults = &acyclicjoin.FaultPlan{Seed: *faultSeed, TransientRate: *faultRate}
 	}
-	if *devRate > 0 || *devSeed != 0 {
-		rate, rerr := cli.DevFaultRate(*devRate)
-		if rerr != nil {
-			fatal("%v", rerr)
-		}
-		seed, serr := cli.DevFaultSeed(*devSeed)
-		if serr != nil {
-			fatal("%v", serr)
-		}
-		if rate > 0 {
-			opts.DeviceFaults = &acyclicjoin.DeviceFaultPlan{Seed: seed, Rate: rate}
-		}
+	if env.DevFaultRate > 0 {
+		opts.DeviceFaults = &acyclicjoin.DeviceFaultPlan{Seed: env.DevFaultSeed, Rate: env.DevFaultRate}
 	}
-	opts.Strategy, err = acyclicjoin.ParseStrategy(cli.StrategyName(*strat))
+	opts.Strategy, err = acyclicjoin.ParseStrategy(env.Strategy)
 	if err != nil {
 		fatal("%v", err)
 	}

@@ -74,6 +74,33 @@ func TestJoinrunShardEnvPrecedence(t *testing.T) {
 	}
 }
 
+// TestJoinrunBackendEnv shows the library's environment independence does
+// not cost the CLI its fallback: $ACYCLICJOIN_BACKEND still selects the file
+// engine, -backend beats it, and a malformed value fails loudly.
+func TestJoinrunBackendEnv(t *testing.T) {
+	bin := buildJoinrun(t)
+	csv := writeCSV(t, t.TempDir())
+	spec := []string{"R:src,mid=" + csv, "S:mid,dst=" + csv}
+	run := func(env string, args ...string) (string, error) {
+		cmd := exec.Command(bin, append(append([]string{"-m", "64", "-b", "8", "-count"}, args...), spec...)...)
+		cmd.Env = append(os.Environ(), env)
+		out, err := cmd.CombinedOutput()
+		return string(out), err
+	}
+	out, err := run("ACYCLICJOIN_BACKEND=file")
+	if err != nil || !strings.Contains(out, "backend: file") {
+		t.Fatalf("env fallback did not reach the file backend: err=%v output:\n%s", err, out)
+	}
+	out, err = run("ACYCLICJOIN_BACKEND=file", "-backend", "sim")
+	if err != nil || strings.Contains(out, "backend: file") {
+		t.Fatalf("flag must beat env: err=%v output:\n%s", err, out)
+	}
+	out, err = run("ACYCLICJOIN_BACKEND=banana")
+	if err == nil || !strings.Contains(out, "ACYCLICJOIN_BACKEND") {
+		t.Fatalf("junk env accepted: err=%v output:\n%s", err, out)
+	}
+}
+
 // TestJoinrunShardedCountMatches checks the sharded and unsharded binaries
 // agree on the result count.
 func TestJoinrunShardedCountMatches(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -81,8 +80,8 @@ func TestDeviceFaultDifferentialRates(t *testing.T) {
 // telemetry records the space failure. ENOSPC is never retried.
 func TestDeviceFaultNoSpaceTyped(t *testing.T) {
 	q, inst := buildTinyQuery(t)
-	res, err := Run(q, inst, Options{Memory: 64, Block: 8, Backend: "file",
-		DeviceFaults: &DeviceFaultPlan{NoSpaceAfter: 512}}, nil)
+	res, err := Run(q, inst, envOptions(t, Options{Memory: 64, Block: 8, Backend: "file",
+		DeviceFaults: &DeviceFaultPlan{NoSpaceAfter: 512}}), nil)
 	if !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("err = %v, want ErrNoSpace", err)
 	}
@@ -105,8 +104,8 @@ func TestDeviceFaultNoSpaceTyped(t *testing.T) {
 func TestDeviceFaultDataDirHygiene(t *testing.T) {
 	dir := t.TempDir()
 	q, inst := buildTinyQuery(t)
-	_, err := Run(q, inst, Options{Memory: 64, Block: 8, Backend: "file", DataDir: dir,
-		DeviceFaults: &DeviceFaultPlan{NoSpaceAfter: 512}}, nil)
+	_, err := Run(q, inst, envOptions(t, Options{Memory: 64, Block: 8, Backend: "file", DataDir: dir,
+		DeviceFaults: &DeviceFaultPlan{NoSpaceAfter: 512}}), nil)
 	if !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("err = %v, want ErrNoSpace", err)
 	}
@@ -128,8 +127,8 @@ func TestDeviceFaultDataDirHygiene(t *testing.T) {
 // aborts with a typed ErrDevice and a partial Result.
 func TestDeviceFaultDeadDeviceTyped(t *testing.T) {
 	q, inst := buildTinyQuery(t)
-	res, err := Run(q, inst, Options{Memory: 64, Block: 8, Backend: "file",
-		DeviceFaults: &DeviceFaultPlan{DeadAt: 10}}, nil)
+	res, err := Run(q, inst, envOptions(t, Options{Memory: 64, Block: 8, Backend: "file",
+		DeviceFaults: &DeviceFaultPlan{DeadAt: 10}}), nil)
 	if !errors.Is(err, ErrDevice) {
 		t.Fatalf("err = %v, want ErrDevice", err)
 	}
@@ -149,8 +148,8 @@ func TestDeviceFaultDegradedFallback(t *testing.T) {
 	q, inst := buildTinyQuery(t)
 	wantRes, wantRows := backendRunRows(t, q, inst, Options{Memory: 64, Block: 8, Backend: "sim"})
 	var rows []string
-	res, err := Run(q, inst, Options{Memory: 64, Block: 8, Backend: "file",
-		DeviceFaults: &DeviceFaultPlan{DeadAt: 10, Degrade: true}},
+	res, err := Run(q, inst, envOptions(t, Options{Memory: 64, Block: 8, Backend: "file",
+		DeviceFaults: &DeviceFaultPlan{DeadAt: 10, Degrade: true}}),
 		func(row Row) { rows = append(rows, canonRow(q, row)) })
 	if err != nil {
 		t.Fatalf("degraded run: %v", err)
@@ -191,40 +190,6 @@ func TestDeviceFaultSimBackendNoop(t *testing.T) {
 	if gotRes.Count != wantRes.Count || gotRes.Stats != wantRes.Stats ||
 		len(gotRows) != len(wantRows) {
 		t.Fatalf("sim run changed under a device plan:\nwith plan %+v\nwithout   %+v", gotRes, wantRes)
-	}
-}
-
-// TestDeviceFaultEnvFallback proves the $ACYCLICJOIN_DEVFAULT* variables arm
-// a default-options run — the hook the CI chaos-device job uses to re-run the
-// whole suite faulted without code changes — and that RunContext rejects a
-// malformed value with a typed, named error instead of silently ignoring it.
-func TestDeviceFaultEnvFallback(t *testing.T) {
-	t.Setenv("ACYCLICJOIN_BACKEND", "file")
-	t.Setenv("ACYCLICJOIN_DEVFAULTRATE", "0.5")
-	t.Setenv("ACYCLICJOIN_DEVFAULTSEED", "9")
-	q, inst := buildTinyQuery(t)
-	want, wantRows := backendRunRows(t, q, inst, Options{Memory: 64, Block: 8, DeviceFaults: &DeviceFaultPlan{}})
-	res, rows := backendRunRows(t, q, inst, Options{Memory: 64, Block: 8})
-	if res.Backend != "file" {
-		t.Fatalf("Backend = %q, want file via env", res.Backend)
-	}
-	dev := res.Faults.Device
-	if dev.InjectedReads+dev.InjectedWrites == 0 {
-		t.Fatalf("env-armed plan injected nothing: %+v", dev)
-	}
-	// An explicit (if empty) plan in Options must shadow the env knobs.
-	if want.Faults.Device != (DeviceFaultStats{}) {
-		t.Fatalf("explicit plan did not shadow the env: %+v", want.Faults.Device)
-	}
-	if res.Count != want.Count || res.Stats != want.Stats || len(rows) != len(wantRows) {
-		t.Fatalf("faulted env run diverges:\nfaulted    %+v\nfault-free %+v", res, want)
-	}
-
-	t.Setenv("ACYCLICJOIN_DEVFAULTRATE", "banana")
-	if _, err := Run(q, inst, Options{Memory: 64, Block: 8}, nil); err == nil ||
-		!strings.Contains(err.Error(), "ACYCLICJOIN_DEVFAULTRATE") ||
-		!strings.Contains(err.Error(), "banana") {
-		t.Fatalf("bad env rate: err = %v, want it named with the value", err)
 	}
 }
 

@@ -44,19 +44,29 @@ func randomTreeQuery(rng *rand.Rand) *Query {
 }
 
 // fillRandom populates the instance with small random tuples; a few trials
-// mix string values in to exercise the dictionary encoding end to end.
+// make some attributes string-valued and the rest negative-or-positive
+// integers, exercising the dictionary encoding end to end (string codes are
+// negative too, so decoding must go by the attribute's kind).
 func fillRandom(rng *rand.Rand, q *Query, inst *Instance, useStrings bool) {
 	words := []string{"ant", "bee", "cat", "dog", "elk"}
+	strAttr := map[string]bool{}
+	low := 0
+	if useStrings {
+		for _, a := range q.Attributes() {
+			strAttr[a] = rng.Intn(3) == 0
+		}
+		low = -3
+	}
 	for _, name := range q.Relations() {
-		arity := len(q.AttributesOf(name))
+		attrs := q.AttributesOf(name)
 		rows := 3 + rng.Intn(25)
 		for r := 0; r < rows; r++ {
-			vals := make([]Value, arity)
-			for j := range vals {
-				if useStrings && rng.Intn(4) == 0 {
+			vals := make([]Value, len(attrs))
+			for j, a := range attrs {
+				if strAttr[a] {
 					vals[j] = words[rng.Intn(len(words))]
 				} else {
-					vals[j] = rng.Intn(6)
+					vals[j] = low + rng.Intn(6)
 				}
 			}
 			inst.MustAdd(name, vals...)
@@ -71,11 +81,7 @@ func oracleRows(t *testing.T, q *Query, inst *Instance) []string {
 	disk := extmem.NewDisk(extmem.Config{M: 1024, B: 64})
 	restore := disk.Suspend()
 	in := relation.Instance{}
-	for _, i := range q.relIndex {
-		schema := make(tuple.Schema, len(q.relAttrs[i]))
-		for j, a := range q.relAttrs[i] {
-			schema[j] = q.attrIDs[a]
-		}
+	for i, schema := range q.relSchema {
 		in[i] = relation.FromTuples(disk, schema, inst.rows[i])
 	}
 	restore()
@@ -84,7 +90,7 @@ func oracleRows(t *testing.T, q *Query, inst *Instance) []string {
 		row := Row{}
 		for name, id := range q.attrIDs {
 			if a.Has(id) {
-				row[name] = inst.dict.decode(a.Get(id))
+				row[name] = inst.decode(id, a.Get(id))
 			}
 		}
 		out = append(out, canonRow(q, row))
@@ -134,7 +140,7 @@ func TestDifferentialAgainstGenericJoin(t *testing.T) {
 			opts.Memory = 64
 			opts.Block = 8
 			var got []string
-			res, err := Run(q, inst, opts, func(row Row) {
+			res, err := Run(q, inst, envOptions(t, opts), func(row Row) {
 				got = append(got, canonRow(q, row))
 			})
 			if err != nil {
@@ -185,8 +191,8 @@ func TestCrossStrategyGreedyDifferential(t *testing.T) {
 				// Pinned unsharded: the branch counts and planning-I/O
 				// comparisons below are per-planner figures that a sharded
 				// run aggregates across servers.
-				gr, err := Run(q, inst, Options{Memory: 64, Block: 8, Strategy: StrategyGreedy,
-					Backend: backend, Shards: 1}, func(row Row) {
+				gr, err := Run(q, inst, envOptions(t, Options{Memory: 64, Block: 8, Strategy: StrategyGreedy,
+					Backend: backend, Shards: 1}), func(row Row) {
 					gotG = append(gotG, canonRow(q, row))
 				})
 				if err != nil {
@@ -201,8 +207,8 @@ func TestCrossStrategyGreedyDifferential(t *testing.T) {
 				sort.Strings(gotG)
 				for _, workers := range []int{0, 2, 4} {
 					var gotE []string
-					ex, err := Run(q, inst, Options{Memory: 64, Block: 8, Strategy: StrategyExhaustive,
-						Parallelism: workers, Backend: backend, Shards: 1}, func(row Row) {
+					ex, err := Run(q, inst, envOptions(t, Options{Memory: 64, Block: 8, Strategy: StrategyExhaustive,
+						Parallelism: workers, Backend: backend, Shards: 1}), func(row Row) {
 						gotE = append(gotE, canonRow(q, row))
 					})
 					if err != nil {
@@ -248,7 +254,7 @@ func TestDifferentialCountOnly(t *testing.T) {
 		fillRandom(rng, q, inst, false)
 		want := oracleRows(t, q, inst)
 		for _, p := range []int{0, 4} {
-			res, err := Count(q, inst, Options{Memory: 64, Block: 8, Parallelism: p})
+			res, err := Count(q, inst, envOptions(t, Options{Memory: 64, Block: 8, Parallelism: p}))
 			if err != nil {
 				t.Fatalf("trial %d P=%d: %v", trial, p, err)
 			}

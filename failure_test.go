@@ -36,11 +36,11 @@ func smallOpts() Options { return Options{Memory: 64, Block: 4} }
 
 func TestRunContextBackgroundMatchesRun(t *testing.T) {
 	q, inst := chaosQuery(t, 1)
-	want, err := Run(q, inst, smallOpts(), nil)
+	want, err := Run(q, inst, envOptions(t, smallOpts()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunContext(context.Background(), q, inst, smallOpts(), nil)
+	got, err := RunContext(context.Background(), q, inst, envOptions(t, smallOpts()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 	q, inst := chaosQuery(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunContext(ctx, q, inst, smallOpts(), nil)
+	res, err := RunContext(ctx, q, inst, envOptions(t, smallOpts()), nil)
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
@@ -75,7 +75,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	opts := smallOpts()
 	opts.Shards = 1
 	var seen int64
-	res, err := RunContext(ctx, q, inst, opts, func(Row) {
+	res, err := RunContext(ctx, q, inst, envOptions(t, opts), func(Row) {
 		seen++
 		if seen == 3 {
 			cancel(boom)
@@ -105,11 +105,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 // to the fault-free run; the retries show up only on Result.Faults.
 func TestRunTransientFaultsBitIdentical(t *testing.T) {
 	q, inst := chaosQuery(t, 4)
-	// An explicit (disabled) device plan shadows $ACYCLICJOIN_DEVFAULTRATE:
-	// this test asserts a *fault-free* baseline, which CI's chaos-device job
-	// would otherwise perturb with device-level injection.
 	base := smallOpts()
-	base.DeviceFaults = &DeviceFaultPlan{}
 	want, err := Run(q, inst, base, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +134,7 @@ func TestRunPermanentFaultTyped(t *testing.T) {
 	q, inst := chaosQuery(t, 5)
 	opts := smallOpts()
 	opts.Faults = &FaultPlan{PermanentAt: 25}
-	res, err := Run(q, inst, opts, nil)
+	res, err := Run(q, inst, envOptions(t, opts), nil)
 	if !errors.Is(err, ErrFault) {
 		t.Fatalf("err = %v, want ErrFault", err)
 	}
@@ -159,7 +155,7 @@ func TestRunTransientEscalatesAtMaxAttempts(t *testing.T) {
 	q, inst := chaosQuery(t, 6)
 	opts := smallOpts()
 	opts.Faults = &FaultPlan{Seed: 1, TransientRate: 1.0, MaxAttempts: 2}
-	res, err := Run(q, inst, opts, nil)
+	res, err := Run(q, inst, envOptions(t, opts), nil)
 	if err == nil {
 		t.Skip("rate-1.0 faults were all absorbed inline; no boundary reached")
 	}
@@ -176,7 +172,7 @@ func TestRunPlanCancelTyped(t *testing.T) {
 	q, inst := chaosQuery(t, 7)
 	opts := smallOpts()
 	opts.Faults = &FaultPlan{CancelAt: 25}
-	res, err := Run(q, inst, opts, nil)
+	res, err := Run(q, inst, envOptions(t, opts), nil)
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
@@ -190,7 +186,7 @@ func TestValidationErrorsUnclassified(t *testing.T) {
 	q, _ := chaosQuery(t, 8)
 	q2, inst2 := chaosQuery(t, 8)
 	_ = q2
-	_, err := Run(q, inst2, Options{}, nil)
+	_, err := Run(q, inst2, envOptions(t, Options{}), nil)
 	if err == nil {
 		t.Fatal("foreign instance accepted")
 	}
@@ -209,7 +205,7 @@ func TestRunFaultDuringReduction(t *testing.T) {
 	// Trigger on the very first charged I/O: that is always reduction
 	// (loading is suspended and free).
 	opts.Faults = &FaultPlan{PermanentAt: 1}
-	res, err := Run(q, inst, opts, nil)
+	res, err := Run(q, inst, envOptions(t, opts), nil)
 	if !errors.Is(err, ErrFault) {
 		t.Fatalf("err = %v, want ErrFault", err)
 	}

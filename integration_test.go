@@ -143,7 +143,7 @@ func TestPublicAPIRandomQueriesMatchBruteForce(t *testing.T) {
 			Strategy: []Strategy{StrategyExhaustive, StrategyFirst, StrategySmallest}[rng.Intn(3)],
 		}
 		var got []string
-		res, err := Run(q, inst, opts, func(r Row) { got = append(got, rowKey(r)) })
+		res, err := Run(q, inst, envOptions(t, opts), func(r Row) { got = append(got, rowKey(r)) })
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -184,7 +184,7 @@ func TestMachineShapeInvariance(t *testing.T) {
 	}
 	var baseline int64 = -1
 	for _, mb := range [][2]int{{16, 4}, {64, 8}, {1024, 64}, {4096, 256}} {
-		res, err := Count(q, inst, Options{Memory: mb[0], Block: mb[1]})
+		res, err := Count(q, inst, envOptions(t, Options{Memory: mb[0], Block: mb[1]}))
 		if err != nil {
 			t.Fatalf("M=%d B=%d: %v", mb[0], mb[1], err)
 		}
@@ -219,7 +219,7 @@ func TestMemoryMonotonicity(t *testing.T) {
 	}
 	var prev int64 = -1
 	for _, m := range []int{64, 256, 1024} {
-		res, err := Count(q, inst, Options{Memory: m, Block: 16})
+		res, err := Count(q, inst, envOptions(t, Options{Memory: m, Block: 16}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +273,7 @@ func TestPublicAPISection7Shapes(t *testing.T) {
 	}
 	want := bruteForce(q, raw)
 	var got []string
-	if _, err := Run(q, inst, Options{Memory: 16, Block: 4}, func(r Row) {
+	if _, err := Run(q, inst, envOptions(t, Options{Memory: 16, Block: 4}), func(r Row) {
 		got = append(got, rowKey(r))
 	}); err != nil {
 		t.Fatal(err)

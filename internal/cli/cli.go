@@ -1,6 +1,7 @@
 // Package cli holds the argument-parsing and data-loading logic shared by
-// the command-line tools (cmd/genplan, cmd/joinrun), kept here so it can be
-// unit tested.
+// the command-line tools (cmd/genplan, cmd/joinrun, cmd/joinbench), kept
+// here so it can be unit tested. It is also the one place that reads the
+// ACYCLICJOIN_* environment (Config.FromEnv); the library never does.
 package cli
 
 import (

@@ -4,17 +4,22 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+
+	"acyclicjoin/internal/core"
 )
 
-// Environment variables honored when the corresponding flag or Options field
-// is left unset. A flag always wins over its environment variable.
+// Environment variables joinrun and joinbench honor when the corresponding
+// flag is left unset. A flag always wins over its environment variable. The
+// library itself never reads them.
 const (
-	// EnvStrategy selects the planning strategy (see acyclicjoin.ParseStrategy).
+	// EnvStrategy selects the planning strategy (see core.ParseStrategy).
 	EnvStrategy = "ACYCLICJOIN_STRATEGY"
 	// EnvBackend selects the storage engine ("sim" or "file").
 	EnvBackend = "ACYCLICJOIN_BACKEND"
 	// EnvDataDir locates the file backend's backing file.
 	EnvDataDir = "ACYCLICJOIN_DATADIR"
+	// EnvSyncDevice forces the file backend's synchronous device path.
+	EnvSyncDevice = "ACYCLICJOIN_SYNC_DEVICE"
 	// EnvShards sets the MPC server count for shard-parallel execution.
 	EnvShards = "ACYCLICJOIN_SHARDS"
 	// EnvDevFaultRate sets the per-syscall transient fault probability for
@@ -24,88 +29,74 @@ const (
 	EnvDevFaultSeed = "ACYCLICJOIN_DEVFAULTSEED"
 )
 
-// StrategyName resolves a -strategy selection: the flag value when nonempty,
-// else $ACYCLICJOIN_STRATEGY (possibly empty, meaning the default strategy).
-func StrategyName(flag string) string { return stringOr(flag, EnvStrategy) }
-
-// BackendName resolves a -backend selection: the flag value when nonempty,
-// else $ACYCLICJOIN_BACKEND (possibly empty, meaning the sim backend).
-func BackendName(flag string) string { return stringOr(flag, EnvBackend) }
-
-// DataDir resolves a -datadir selection: the flag value when nonempty, else
-// $ACYCLICJOIN_DATADIR (possibly empty, meaning the system temp directory).
-func DataDir(flag string) string { return stringOr(flag, EnvDataDir) }
-
-func stringOr(flag, env string) string {
-	if flag != "" {
-		return flag
-	}
-	return os.Getenv(env)
+// Config is the run configuration the ACYCLICJOIN_* variables can set, one
+// field per variable. A zero field means "not given".
+type Config struct {
+	Strategy     string
+	Backend      string
+	DataDir      string
+	SyncDevice   bool
+	Shards       int
+	DevFaultRate float64
+	DevFaultSeed int64
 }
 
-// Shards resolves a -shards selection: the flag value when nonzero, else
-// $ACYCLICJOIN_SHARDS, else 1 (unsharded). The flag value passes through
-// untouched — the library range-checks it — but an environment value that is
-// set must parse as a positive integer. Errors carry no package prefix so
-// callers can wrap them under their own name.
-// ShardsRequested reports whether a shard count was explicitly selected —
-// by flag/Options field or by $ACYCLICJOIN_SHARDS. The library uses it to
-// decide whether a resolved count of 1 means "nobody asked" (no shard
-// telemetry) or "the 1-server bypass was requested" (report it).
-func ShardsRequested(flag int) bool {
-	return flag != 0 || os.Getenv(EnvShards) != ""
-}
-
-func Shards(flag int) (int, error) {
-	if flag != 0 {
-		return flag, nil
+// FromEnv fills every zero field of c from its environment variable and
+// returns the result; a field that is already set (an explicit flag) is kept
+// as is, even when its variable is malformed. A set variable must be well
+// formed: a known strategy, "sim" or "file", a boolean, a positive integer, a
+// probability in [0, 1], and an integer, respectively. DevFaultSeed resolves
+// to 1 when neither the field nor its variable sets it. Errors name the
+// variable and its value and carry no package prefix.
+func (c Config) FromEnv() (Config, error) {
+	bad := func(name, val, want string) error {
+		return fmt.Errorf("bad %s=%q (want %s)", name, val, want)
 	}
-	s := os.Getenv(EnvShards)
-	if s == "" {
-		return 1, nil
+	if v := os.Getenv(EnvStrategy); c.Strategy == "" && v != "" {
+		if _, err := core.ParseStrategy(v); err != nil {
+			return c, bad(EnvStrategy, v, "exhaustive, first, smallest, or greedy")
+		}
+		c.Strategy = v
 	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("bad %s=%q (want a positive integer)", EnvShards, s)
+	if v := os.Getenv(EnvBackend); c.Backend == "" && v != "" {
+		if v != "sim" && v != "file" {
+			return c, bad(EnvBackend, v, `"sim" or "file"`)
+		}
+		c.Backend = v
 	}
-	return n, nil
-}
-
-// DevFaultRate resolves a -devfaultrate selection: the flag value when
-// nonzero, else $ACYCLICJOIN_DEVFAULTRATE, else 0 (no device faults). An
-// environment value that is set must parse as a probability in [0, 1].
-// Errors carry no package prefix so callers can wrap them under their own
-// name.
-func DevFaultRate(flag float64) (float64, error) {
-	if flag != 0 {
-		return flag, nil
+	if c.DataDir == "" {
+		c.DataDir = os.Getenv(EnvDataDir)
 	}
-	s := os.Getenv(EnvDevFaultRate)
-	if s == "" {
-		return 0, nil
+	if v := os.Getenv(EnvSyncDevice); !c.SyncDevice && v != "" {
+		b, err := strconv.ParseBool(v)
+		if err != nil {
+			return c, bad(EnvSyncDevice, v, "a boolean")
+		}
+		c.SyncDevice = b
 	}
-	r, err := strconv.ParseFloat(s, 64)
-	if err != nil || r < 0 || r > 1 {
-		return 0, fmt.Errorf("bad %s=%q (want a probability in [0, 1])", EnvDevFaultRate, s)
+	if v := os.Getenv(EnvShards); c.Shards == 0 && v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 1 {
+			return c, bad(EnvShards, v, "a positive integer")
+		}
+		c.Shards = n
 	}
-	return r, nil
-}
-
-// DevFaultSeed resolves a -devfaultseed selection: the flag value when
-// nonzero, else $ACYCLICJOIN_DEVFAULTSEED, else 1 (the default seed, matching
-// the -faultseed convention). An environment value that is set must parse as
-// an integer.
-func DevFaultSeed(flag int64) (int64, error) {
-	if flag != 0 {
-		return flag, nil
+	if v := os.Getenv(EnvDevFaultRate); c.DevFaultRate == 0 && v != "" {
+		r, err := strconv.ParseFloat(v, 64)
+		if err != nil || r < 0 || r > 1 {
+			return c, bad(EnvDevFaultRate, v, "a probability in [0, 1]")
+		}
+		c.DevFaultRate = r
 	}
-	s := os.Getenv(EnvDevFaultSeed)
-	if s == "" {
-		return 1, nil
+	if v := os.Getenv(EnvDevFaultSeed); c.DevFaultSeed == 0 && v != "" {
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			return c, bad(EnvDevFaultSeed, v, "an integer")
+		}
+		c.DevFaultSeed = n
 	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s=%q (want an integer)", EnvDevFaultSeed, s)
+	if c.DevFaultSeed == 0 {
+		c.DevFaultSeed = 1
 	}
-	return n, nil
+	return c, nil
 }

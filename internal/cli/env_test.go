@@ -5,144 +5,155 @@ import (
 	"testing"
 )
 
+// resolve clears every variable FromEnv reads, sets env (name=value pairs),
+// and resolves flags against it.
+func resolve(t *testing.T, flags Config, env ...string) (Config, error) {
+	t.Helper()
+	for _, v := range []string{EnvStrategy, EnvBackend, EnvDataDir, EnvSyncDevice,
+		EnvShards, EnvDevFaultRate, EnvDevFaultSeed} {
+		t.Setenv(v, "")
+	}
+	for i := 0; i < len(env); i += 2 {
+		t.Setenv(env[i], env[i+1])
+	}
+	return flags.FromEnv()
+}
+
+// wantBad checks that a malformed value is an error naming the variable and
+// the value.
+func wantBad(t *testing.T, env string, bad ...string) {
+	t.Helper()
+	for _, v := range bad {
+		c, err := resolve(t, Config{}, env, v)
+		if err == nil {
+			t.Errorf("env %s=%q: got %+v, want an error", env, v, c)
+			continue
+		}
+		if !strings.Contains(err.Error(), env) || !strings.Contains(err.Error(), v) {
+			t.Errorf("env %s=%q: error %q should name the variable and the value", env, v, err)
+		}
+	}
+}
+
 // The three string-valued selections share one contract: a nonempty flag wins
 // outright, an empty flag falls back to the environment, and both empty means
 // the library default (empty string).
 func TestStringEnvFallbacks(t *testing.T) {
 	cases := []struct {
-		name    string
-		env     string
-		resolve func(string) string
+		name, env, val string
+		field          func(*Config) *string
 	}{
-		{"strategy", EnvStrategy, StrategyName},
-		{"backend", EnvBackend, BackendName},
-		{"datadir", EnvDataDir, DataDir},
+		{"strategy", EnvStrategy, "greedy", func(c *Config) *string { return &c.Strategy }},
+		{"backend", EnvBackend, "file", func(c *Config) *string { return &c.Backend }},
+		{"datadir", EnvDataDir, "/data", func(c *Config) *string { return &c.DataDir }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			t.Setenv(c.env, "")
-			if got := c.resolve(""); got != "" {
+			get := func(flag string, env ...string) string {
+				var in Config
+				*c.field(&in) = flag
+				out, err := resolve(t, in, env...)
+				if err != nil {
+					t.Fatalf("flag %q env %q: %v", flag, env, err)
+				}
+				return *c.field(&out)
+			}
+			if got := get(""); got != "" {
 				t.Errorf("both unset: got %q, want empty", got)
 			}
-			if got := c.resolve("flagval"); got != "flagval" {
-				t.Errorf("flag only: got %q, want flagval", got)
+			if got := get("sim"); got != "sim" {
+				t.Errorf("flag only: got %q, want sim", got)
 			}
-			t.Setenv(c.env, "envval")
-			if got := c.resolve(""); got != "envval" {
-				t.Errorf("env only: got %q, want envval", got)
+			if got := get("", c.env, c.val); got != c.val {
+				t.Errorf("env only: got %q, want %q", got, c.val)
 			}
-			if got := c.resolve("flagval"); got != "flagval" {
-				t.Errorf("flag beats env: got %q, want flagval", got)
+			if got := get("sim", c.env, c.val); got != "sim" {
+				t.Errorf("flag beats env: got %q, want sim", got)
+			}
+			if c.env != EnvDataDir {
+				if got := get("sim", c.env, "banana"); got != "sim" {
+					t.Errorf("flag with junk env: got %q, want sim", got)
+				}
+				wantBad(t, c.env, "banana", strings.ToUpper(c.val))
 			}
 		})
 	}
 }
 
+func TestSyncDeviceResolution(t *testing.T) {
+	for _, c := range []struct {
+		flag bool
+		env  string
+		want bool
+	}{
+		{false, "", false}, {true, "", true}, {false, "1", true},
+		{false, "true", true}, {false, "0", false}, {false, "false", false},
+		{true, "0", true}, {true, "banana", true},
+	} {
+		got, err := resolve(t, Config{SyncDevice: c.flag}, EnvSyncDevice, c.env)
+		if err != nil || got.SyncDevice != c.want {
+			t.Errorf("flag %v env %q: got (%v, %v), want (%v, nil)", c.flag, c.env, got.SyncDevice, err, c.want)
+		}
+	}
+	wantBad(t, EnvSyncDevice, "banana", "yes")
+}
+
 func TestShardsResolution(t *testing.T) {
-	t.Setenv(EnvShards, "")
-	if n, err := Shards(0); n != 1 || err != nil {
-		t.Errorf("both unset: got (%d, %v), want (1, nil)", n, err)
-	}
-	if n, err := Shards(4); n != 4 || err != nil {
-		t.Errorf("flag only: got (%d, %v), want (4, nil)", n, err)
-	}
-	t.Setenv(EnvShards, "8")
-	if n, err := Shards(0); n != 8 || err != nil {
-		t.Errorf("env only: got (%d, %v), want (8, nil)", n, err)
-	}
-	if n, err := Shards(2); n != 2 || err != nil {
-		t.Errorf("flag beats env: got (%d, %v), want (2, nil)", n, err)
-	}
-	// A set flag short-circuits before the environment is parsed at all, and
-	// out-of-range flag values pass through for the library's range check.
-	t.Setenv(EnvShards, "banana")
-	if n, err := Shards(3); n != 3 || err != nil {
-		t.Errorf("flag with junk env: got (%d, %v), want (3, nil)", n, err)
-	}
-	if n, err := Shards(-5); n != -5 || err != nil {
-		t.Errorf("negative flag passes through: got (%d, %v), want (-5, nil)", n, err)
-	}
-	for _, bad := range []string{"banana", "0", "-3", "2.5", " 4"} {
-		t.Setenv(EnvShards, bad)
-		n, err := Shards(0)
-		if err == nil {
-			t.Errorf("env %q: got (%d, nil), want error", bad, n)
-			continue
-		}
-		if !strings.Contains(err.Error(), EnvShards) || !strings.Contains(err.Error(), bad) {
-			t.Errorf("env %q: error %q should name the variable and the value", bad, err)
+	for _, c := range []struct {
+		flag int
+		env  string
+		want int
+	}{
+		{0, "", 0}, {4, "", 4}, {0, "8", 8}, {2, "8", 2},
+		// A set flag short-circuits before the environment is parsed at
+		// all, and out-of-range flag values pass through for the library's
+		// range check.
+		{3, "banana", 3}, {-5, "", -5},
+	} {
+		got, err := resolve(t, Config{Shards: c.flag}, EnvShards, c.env)
+		if err != nil || got.Shards != c.want {
+			t.Errorf("flag %d env %q: got (%d, %v), want (%d, nil)", c.flag, c.env, got.Shards, err, c.want)
 		}
 	}
+	wantBad(t, EnvShards, "banana", "0", "-3", "2.5", " 4")
 }
 
 func TestDevFaultRateResolution(t *testing.T) {
-	t.Setenv(EnvDevFaultRate, "")
-	if r, err := DevFaultRate(0); r != 0 || err != nil {
-		t.Errorf("both unset: got (%v, %v), want (0, nil)", r, err)
-	}
-	if r, err := DevFaultRate(0.25); r != 0.25 || err != nil {
-		t.Errorf("flag only: got (%v, %v), want (0.25, nil)", r, err)
-	}
-	t.Setenv(EnvDevFaultRate, "0.1")
-	if r, err := DevFaultRate(0); r != 0.1 || err != nil {
-		t.Errorf("env only: got (%v, %v), want (0.1, nil)", r, err)
-	}
-	if r, err := DevFaultRate(0.02); r != 0.02 || err != nil {
-		t.Errorf("flag beats env: got (%v, %v), want (0.02, nil)", r, err)
-	}
-	// A set flag short-circuits before the environment is parsed at all.
-	t.Setenv(EnvDevFaultRate, "banana")
-	if r, err := DevFaultRate(0.5); r != 0.5 || err != nil {
-		t.Errorf("flag with junk env: got (%v, %v), want (0.5, nil)", r, err)
-	}
-	for _, bad := range []string{"banana", "1.5", "-0.1", "2", " 0.1"} {
-		t.Setenv(EnvDevFaultRate, bad)
-		r, err := DevFaultRate(0)
-		if err == nil {
-			t.Errorf("env %q: got (%v, nil), want error", bad, r)
-			continue
-		}
-		if !strings.Contains(err.Error(), EnvDevFaultRate) || !strings.Contains(err.Error(), bad) {
-			t.Errorf("env %q: error %q should name the variable and the value", bad, err)
+	for _, c := range []struct {
+		flag float64
+		env  string
+		want float64
+	}{
+		{0, "", 0}, {0.25, "", 0.25}, {0, "0.1", 0.1}, {0.02, "0.1", 0.02}, {0.5, "banana", 0.5},
+	} {
+		got, err := resolve(t, Config{DevFaultRate: c.flag}, EnvDevFaultRate, c.env)
+		if err != nil || got.DevFaultRate != c.want {
+			t.Errorf("flag %v env %q: got (%v, %v), want (%v, nil)", c.flag, c.env, got.DevFaultRate, err, c.want)
 		}
 	}
+	wantBad(t, EnvDevFaultRate, "banana", "1.5", "-0.1", "2", " 0.1")
 }
 
 func TestDevFaultSeedResolution(t *testing.T) {
-	t.Setenv(EnvDevFaultSeed, "")
-	if s, err := DevFaultSeed(0); s != 1 || err != nil {
-		t.Errorf("both unset: got (%d, %v), want (1, nil)", s, err)
-	}
-	if s, err := DevFaultSeed(42); s != 42 || err != nil {
-		t.Errorf("flag only: got (%d, %v), want (42, nil)", s, err)
-	}
-	t.Setenv(EnvDevFaultSeed, "7")
-	if s, err := DevFaultSeed(0); s != 7 || err != nil {
-		t.Errorf("env only: got (%d, %v), want (7, nil)", s, err)
-	}
-	if s, err := DevFaultSeed(3); s != 3 || err != nil {
-		t.Errorf("flag beats env: got (%d, %v), want (3, nil)", s, err)
-	}
-	t.Setenv(EnvDevFaultSeed, "-9")
-	if s, err := DevFaultSeed(0); s != -9 || err != nil {
-		t.Errorf("negative env seed is legal: got (%d, %v), want (-9, nil)", s, err)
-	}
-	t.Setenv(EnvDevFaultSeed, "banana")
-	if s, err := DevFaultSeed(5); s != 5 || err != nil {
-		t.Errorf("flag with junk env: got (%d, %v), want (5, nil)", s, err)
-	}
-	for _, bad := range []string{"banana", "1.5", ""} {
-		if bad == "" {
-			continue
+	for _, c := range []struct {
+		flag int64
+		env  string
+		want int64
+	}{
+		{0, "", 1}, {42, "", 42}, {0, "7", 7}, {3, "7", 3}, {0, "-9", -9}, {5, "banana", 5},
+	} {
+		got, err := resolve(t, Config{DevFaultSeed: c.flag}, EnvDevFaultSeed, c.env)
+		if err != nil || got.DevFaultSeed != c.want {
+			t.Errorf("flag %d env %q: got (%d, %v), want (%d, nil)", c.flag, c.env, got.DevFaultSeed, err, c.want)
 		}
-		t.Setenv(EnvDevFaultSeed, bad)
-		s, err := DevFaultSeed(0)
-		if err == nil {
-			t.Errorf("env %q: got (%d, nil), want error", bad, s)
-			continue
-		}
-		if !strings.Contains(err.Error(), EnvDevFaultSeed) || !strings.Contains(err.Error(), bad) {
-			t.Errorf("env %q: error %q should name the variable and the value", bad, err)
-		}
+	}
+	wantBad(t, EnvDevFaultSeed, "banana", "1.5")
+}
+
+// With nothing set, FromEnv changes nothing but the default seed.
+func TestFromEnvUnset(t *testing.T) {
+	got, err := resolve(t, Config{})
+	if err != nil || got != (Config{DevFaultSeed: 1}) {
+		t.Fatalf("FromEnv() = %+v, %v; want only the default seed", got, err)
 	}
 }

@@ -80,6 +80,21 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("Strategy(%d)", int(s))
 }
 
+// ParseStrategy maps a strategy name ("exhaustive", "first", "smallest",
+// "greedy"; empty means exhaustive) to its Strategy. Errors carry no package
+// prefix so callers can wrap them under their own name.
+func ParseStrategy(name string) (Strategy, error) {
+	if name == "" {
+		return StrategyExhaustive, nil
+	}
+	for _, s := range []Strategy{StrategyExhaustive, StrategyFirst, StrategySmallest, StrategyGreedy} {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return StrategyExhaustive, fmt.Errorf("unknown strategy %q (want exhaustive, first, smallest, or greedy)", name)
+}
+
 // Options configures Run.
 type Options struct {
 	Strategy Strategy

@@ -25,8 +25,7 @@
 // charged operation, so the sync and async pipelines report bit-identical
 // telemetry on a sequential schedule; only the four overlap counters
 // (OverlappedWrites, FlushQueueHiWater, PrefetchInFlight, DemandWaits) are
-// timing-dependent. OpenSync — or the ACYCLICJOIN_SYNC_DEVICE environment
-// variable — forces the old inline path for debugging.
+// timing-dependent. OpenSync forces the old inline path for debugging.
 package diskfile
 
 import (
@@ -55,13 +54,6 @@ type Device interface {
 	io.ReaderAt
 	io.WriterAt
 }
-
-// EnvSyncDevice, when set to anything other than "", "0", or "false", makes
-// Open build the engine in synchronous device mode: every pread/pwrite
-// executes inline under the engine mutex at the charged operation, exactly as
-// before the async pipeline. Charged counters, verification, and results are
-// bit-identical either way.
-const EnvSyncDevice = "ACYCLICJOIN_SYNC_DEVICE"
 
 // maxQueuedSegs bounds the writeback queue: once this many coalesced segments
 // are waiting on the flusher, the next flush blocks (releasing the mutex)
@@ -220,26 +212,21 @@ type frame struct {
 }
 
 // Open creates a file-backed engine for the given machine configuration, in
-// asynchronous device mode unless ACYCLICJOIN_SYNC_DEVICE is set. The backing
+// asynchronous device mode. The backing
 // file is created under dir; an empty dir means the system temp directory
 // with the file unlinked immediately (it exists only as an open descriptor
 // and can never be leaked on disk). A non-empty dir retains the file until
 // Close. A finalizer backstops Close so an abandoned engine cannot leak the
 // descriptor or its worker goroutines.
 func Open(dir string, cfg extmem.Config) (*Engine, error) {
-	return open(dir, cfg, SyncFromEnv())
+	return open(dir, cfg, false)
 }
 
-// OpenSync is Open pinned to synchronous device mode: no worker goroutines,
-// every syscall inline under the engine mutex (the pre-pipeline behaviour).
+// OpenSync is Open in synchronous device mode: no worker goroutines, every
+// syscall inline under the engine mutex (the pre-pipeline behaviour).
+// Charged counters, verification, and results are bit-identical either way.
 func OpenSync(dir string, cfg extmem.Config) (*Engine, error) {
 	return open(dir, cfg, true)
-}
-
-// OpenAsync is Open pinned to asynchronous device mode, ignoring the
-// environment (used by A/B benchmarks).
-func OpenAsync(dir string, cfg extmem.Config) (*Engine, error) {
-	return open(dir, cfg, false)
 }
 
 // OpenWithDevice is Open with a device wrapper interposed beneath every engine
@@ -264,18 +251,6 @@ func OpenWithDevice(dir string, cfg extmem.Config, syncDev bool, maxRetries int,
 		e.maxRetries = maxRetries
 	}
 	return e, nil
-}
-
-// SyncFromEnv reports whether ACYCLICJOIN_SYNC_DEVICE currently forces the
-// synchronous device path (any value other than "", "0", or "false"); it is
-// what Open consults. Exposed so telemetry writers can record which mode an
-// env-configured run actually used.
-func SyncFromEnv() bool {
-	switch os.Getenv(EnvSyncDevice) {
-	case "", "0", "false":
-		return false
-	}
-	return true
 }
 
 func open(dir string, cfg extmem.Config, syncDev bool) (*Engine, error) {

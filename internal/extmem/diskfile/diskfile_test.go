@@ -485,9 +485,9 @@ func TestTransientFaultsAsyncPathIdentical(t *testing.T) {
 		stats extmem.Stats
 	}
 	run := func(plan *extmem.FaultPlan) (outcome, *extmem.Disk, *diskfile.Engine) {
-		eng, err := diskfile.OpenAsync("", cfg)
+		eng, err := diskfile.Open("", cfg)
 		if err != nil {
-			t.Fatalf("OpenAsync: %v", err)
+			t.Fatalf("Open: %v", err)
 		}
 		t.Cleanup(func() { eng.Close() })
 		d := extmem.NewDiskWithBackend(cfg, eng)
@@ -531,9 +531,9 @@ func TestTransientFaultsAsyncPathIdentical(t *testing.T) {
 // *FaultError, and the engine must come out consistent — the pre-fault data
 // scans back fully verified and the engine flushes and closes clean.
 func TestPermanentFaultAsyncPathSurfacesTyped(t *testing.T) {
-	eng, err := diskfile.OpenAsync("", cfg)
+	eng, err := diskfile.Open("", cfg)
 	if err != nil {
-		t.Fatalf("OpenAsync: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	d := extmem.NewDiskWithBackend(cfg, eng)
 	f := d.NewFile(2)
@@ -594,7 +594,7 @@ func TestAsyncPipelineOverlapsAndDrains(t *testing.T) {
 		assertParity(t, d)
 		return eng.DeviceStats(), d.Stats()
 	}
-	async, asyncStats := run(diskfile.OpenAsync)
+	async, asyncStats := run(diskfile.Open)
 	sync, syncStats := run(diskfile.OpenSync)
 	if async.OverlappedWrites == 0 {
 		t.Fatalf("async pipeline never overlapped a write: %+v", async)
@@ -620,9 +620,9 @@ func TestAsyncPipelineOverlapsAndDrains(t *testing.T) {
 // surfaces as a panic at a charged operation, naming the failed transfer.
 func TestAsyncDeviceErrorSurfaces(t *testing.T) {
 	dir := t.TempDir()
-	eng, err := diskfile.OpenAsync(dir, cfg)
+	eng, err := diskfile.Open(dir, cfg)
 	if err != nil {
-		t.Fatalf("OpenAsync: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	t.Cleanup(func() { eng.Close() })
 	d := extmem.NewDiskWithBackend(cfg, eng)
@@ -656,7 +656,7 @@ func TestAsyncDeviceErrorSurfaces(t *testing.T) {
 // reports a sync arm and an async arm side by side.
 func benchEngines(b *testing.B, fn func(b *testing.B, open func(string, extmem.Config) (*diskfile.Engine, error))) {
 	b.Run("sync", func(b *testing.B) { fn(b, diskfile.OpenSync) })
-	b.Run("async", func(b *testing.B) { fn(b, diskfile.OpenAsync) })
+	b.Run("async", func(b *testing.B) { fn(b, diskfile.Open) })
 }
 
 // BenchmarkEngineWriteRange measures the charged write path end to end: one

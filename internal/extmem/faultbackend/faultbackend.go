@@ -25,6 +25,10 @@
 // abort, charged Stats, results, and every deterministic experiment table
 // stay bit-identical to the fault-free run; the injection and recovery work
 // is reported through the DeviceFaultStats side channel instead.
+//
+// NewDisk is the one place that picks a storage engine for a simulated disk:
+// the counting simulator, the file engine (sync or async), or the file
+// engine over a fault device.
 package faultbackend
 
 import (
@@ -59,6 +63,48 @@ func Open(dir string, cfg extmem.Config, syncDev bool, plan extmem.DeviceFaultPl
 		return nil, err
 	}
 	return &Backend{Engine: eng, dev: fd}, nil
+}
+
+// Engine selects and configures the storage engine behind a simulated disk.
+// The zero value is the counting simulator.
+type Engine struct {
+	// Backend is "sim" (or empty) for the counting simulator or "file" for
+	// the os.File-backed engine.
+	Backend string
+	// DataDir is where the file engine keeps its backing file; empty means
+	// an unlinked file in the system temp directory.
+	DataDir string
+	// SyncDevice selects the file engine's synchronous device path instead
+	// of the asynchronous pipeline.
+	SyncDevice bool
+	// Faults, when non-nil and enabled, interposes the fault device beneath
+	// the file engine.
+	Faults *extmem.DeviceFaultPlan
+}
+
+// NewDisk builds a disk for cfg on the engine e selects and returns it with
+// the function that releases the engine. The file-only fields are ignored
+// by the simulator. Errors carry no package prefix so callers can wrap them
+// under their own name.
+func NewDisk(cfg extmem.Config, e Engine) (*extmem.Disk, func() error, error) {
+	var b extmem.Backend
+	var err error
+	switch {
+	case e.Backend == "" || e.Backend == "sim":
+		return extmem.NewDisk(cfg), func() error { return nil }, nil
+	case e.Backend != "file":
+		return nil, nil, fmt.Errorf("unknown backend %q (want \"sim\" or \"file\")", e.Backend)
+	case e.Faults != nil && e.Faults.Enabled():
+		b, err = Open(e.DataDir, cfg, e.SyncDevice, *e.Faults)
+	case e.SyncDevice:
+		b, err = diskfile.OpenSync(e.DataDir, cfg)
+	default:
+		b, err = diskfile.Open(e.DataDir, cfg)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("open file backend: %w", err)
+	}
+	return extmem.NewDiskWithBackend(cfg, b), b.Close, nil
 }
 
 // DeviceFaultStats implements extmem.DeviceFaultReporter: the injection-side

@@ -1,10 +1,7 @@
 package harness
 
 import (
-	"fmt"
-
 	"acyclicjoin/internal/extmem"
-	"acyclicjoin/internal/extmem/diskfile"
 	"acyclicjoin/internal/extmem/faultbackend"
 )
 
@@ -21,28 +18,14 @@ import (
 // explicit close; the backing file itself is unlinked at creation unless
 // Params.DataDir pins it to a directory.
 func newBackendDisk(p Params, cfg extmem.Config) *extmem.Disk {
-	switch p.Backend {
-	case "", "sim":
-		return extmem.NewDisk(cfg)
-	case "file":
-		if p.DevFaultRate > 0 {
-			plan := extmem.DeviceFaultPlan{Seed: p.DevFaultSeed, Rate: p.DevFaultRate}
-			b, err := faultbackend.Open(p.DataDir, cfg, p.SyncDevice || diskfile.SyncFromEnv(), plan)
-			if err != nil {
-				panic(fmt.Sprintf("harness: open file backend: %v", err))
-			}
-			return extmem.NewDiskWithBackend(cfg, b)
-		}
-		open := diskfile.Open // async unless ACYCLICJOIN_SYNC_DEVICE is set
-		if p.SyncDevice {
-			open = diskfile.OpenSync
-		}
-		eng, err := open(p.DataDir, cfg)
-		if err != nil {
-			panic(fmt.Sprintf("harness: open file backend: %v", err))
-		}
-		return extmem.NewDiskWithBackend(cfg, eng)
-	default:
-		panic(fmt.Sprintf("harness: unknown backend %q (want \"sim\" or \"file\")", p.Backend))
+	var plan *extmem.DeviceFaultPlan
+	if p.DevFaultRate > 0 {
+		plan = &extmem.DeviceFaultPlan{Seed: p.DevFaultSeed, Rate: p.DevFaultRate}
 	}
+	d, _, err := faultbackend.NewDisk(cfg, faultbackend.Engine{
+		Backend: p.Backend, DataDir: p.DataDir, SyncDevice: p.SyncDevice, Faults: plan})
+	if err != nil {
+		panic("harness: " + err.Error())
+	}
+	return d
 }

@@ -8,7 +8,6 @@ import (
 
 	"acyclicjoin/internal/core"
 	"acyclicjoin/internal/extmem"
-	"acyclicjoin/internal/extmem/diskfile"
 	"acyclicjoin/internal/tuple"
 )
 
@@ -191,7 +190,7 @@ type BackendBenchRow struct {
 func BackendBench(p Params) (*BackendBenchResult, error) {
 	p = p.WithDefaults()
 	res := &BackendBenchResult{M: p.M, B: p.B, Scale: p.Scale, Seed: p.Seed,
-		SyncDevice: p.SyncDevice || diskfile.SyncFromEnv()}
+		SyncDevice: p.SyncDevice}
 	const reps = 3
 	for w := range memoWorkloads {
 		name := memoWorkloads[w].name

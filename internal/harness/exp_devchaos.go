@@ -8,7 +8,6 @@ import (
 
 	"acyclicjoin/internal/core"
 	"acyclicjoin/internal/extmem"
-	"acyclicjoin/internal/extmem/diskfile"
 	"acyclicjoin/internal/extmem/faultbackend"
 	"acyclicjoin/internal/hypergraph"
 	"acyclicjoin/internal/opcache"
@@ -44,27 +43,13 @@ var devChaosRates = []float64{0.02, 0.05, 0.2}
 // closed and the child-disk registry asserted empty on every path.
 func devChaosArm(p Params, w int, plan *extmem.DeviceFaultPlan, syncDev bool) (*core.Result, uint64, int64, extmem.FaultStats, error) {
 	cfg := extmem.Config{M: p.M, B: p.B}
-	var d *extmem.Disk
-	if plan != nil {
-		b, err := faultbackend.Open(p.DataDir, cfg, syncDev, *plan)
-		if err != nil {
-			return nil, 0, 0, extmem.FaultStats{}, fmt.Errorf("device chaos arm: open: %w", err)
-		}
-		defer b.Close()
-		d = extmem.NewDiskWithBackend(cfg, b)
-	} else {
-		open := diskfile.Open
-		if syncDev {
-			open = diskfile.OpenSync
-		}
-		eng, err := open(p.DataDir, cfg)
-		if err != nil {
-			return nil, 0, 0, extmem.FaultStats{}, fmt.Errorf("device chaos arm: open: %w", err)
-		}
-		defer eng.Close()
-		d = extmem.NewDiskWithBackend(cfg, eng)
+	d, closeEngine, err := faultbackend.NewDisk(cfg, faultbackend.Engine{
+		Backend: "file", DataDir: p.DataDir, SyncDevice: syncDev, Faults: plan})
+	if err != nil {
+		return nil, 0, 0, extmem.FaultStats{}, fmt.Errorf("device chaos arm: %w", err)
 	}
-	if !p.NoMemo && !p.NoSortCache {
+	defer closeEngine()
+	if !p.NoMemo {
 		opcache.Enable(d)
 	}
 	rng := rand.New(rand.NewSource(p.Seed + int64(w)))

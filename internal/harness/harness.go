@@ -9,12 +9,9 @@ package harness
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"sync"
-
-	"acyclicjoin/internal/cli"
 )
 
 // Params configures an experiment run.
@@ -31,11 +28,6 @@ type Params struct {
 	// charges exactly what the real operator would); the switch exists
 	// for A/B timing and for proving that claim (E23, E24).
 	NoMemo bool
-	// NoSortCache is the former name of NoMemo; either flag disables the
-	// memo.
-	//
-	// Deprecated: set NoMemo instead.
-	NoSortCache bool
 	// NoPrune disables branch-and-bound pruning of exhaustive-strategy dry
 	// runs in the experiments that honor it. Experiment tables report
 	// execution-cost figures that pruning provably does not change, so every
@@ -51,42 +43,35 @@ type Params struct {
 	// charged transfer. Tables are byte-identical across backends — the
 	// model sits above the backend seam — so the switch exists for the
 	// differential suite (E27) and for running the whole registry as a real
-	// systems benchmark. An empty value falls back to the
-	// ACYCLICJOIN_BACKEND environment variable.
+	// systems benchmark.
 	Backend string
 	// DataDir is where the file backend keeps its backing files; empty means
-	// the ACYCLICJOIN_DATADIR environment variable, then the system temp
-	// directory with files unlinked at creation.
+	// the system temp directory with files unlinked at creation.
 	DataDir string
 	// SyncDevice forces the file backend's synchronous device path (inline
 	// pwrite/pread, no background writeback or prefetch workers). False uses
-	// the asynchronous pipeline unless ACYCLICJOIN_SYNC_DEVICE overrides.
-	// Every table is byte-identical either way — the knob trades only
-	// wall-clock overlap. Ignored by the sim backend.
+	// the asynchronous pipeline. Every table is byte-identical either way —
+	// the knob trades only wall-clock overlap. Ignored by the sim backend.
 	SyncDevice bool
 	// Shards, when >= 2, adds a shard-parallel arm to the verification
 	// sweep: every trial is re-run across that many simulated MPC servers —
 	// with and without heavy-hitter splitting — and checked against the
-	// enumeration oracle. 0 falls back to the ACYCLICJOIN_SHARDS environment
-	// variable, then to 1 (no shard arm). Experiments pin their shard counts
-	// per measurement and ignore this knob.
+	// enumeration oracle. 0 or 1 means no shard arm. Experiments pin their
+	// shard counts per measurement and ignore this knob.
 	Shards int
 	// Strategy, when non-empty, restricts the verification sweep to one
 	// peeling strategy ("exhaustive", "first", "smallest", "greedy") instead
 	// of sweeping them all — the hook that lets CI re-run the whole
-	// randomized suite under the greedy planner with zero code changes. An
-	// empty value falls back to the ACYCLICJOIN_STRATEGY environment
-	// variable, then to the full sweep. Experiments pin their strategies
-	// per measurement and ignore this knob.
+	// randomized suite under the greedy planner. Empty means the full sweep.
+	// Experiments pin their strategies per measurement and ignore this knob.
 	Strategy string
 	// DevFaultRate, when > 0 and Backend is "file", wraps every experiment
 	// machine's storage engine with the device-level chaos rig
 	// (internal/extmem/faultbackend) injecting transient syscall faults at
 	// this per-call probability, seeded by DevFaultSeed. The engine absorbs
 	// every transient below the backend seam, so tables stay byte-identical
-	// — the hook that lets CI re-run the whole registry under device chaos
-	// with zero code changes. 0 falls back to the ACYCLICJOIN_DEVFAULTRATE /
-	// ACYCLICJOIN_DEVFAULTSEED environment variables. Ignored by the sim
+	// — the hook that lets CI re-run the whole registry under device chaos.
+	// 0 injects nothing; a zero DevFaultSeed means 1. Ignored by the sim
 	// backend (no syscalls to fault); experiments that measure specific
 	// fault schedules (E30) pin their plans and ignore this knob.
 	DevFaultRate float64
@@ -105,39 +90,10 @@ func (p Params) WithDefaults() Params {
 		p.Scale = 1
 	}
 	if p.Backend == "" {
-		p.Backend = os.Getenv("ACYCLICJOIN_BACKEND")
-	}
-	if p.Backend == "" {
 		p.Backend = "sim"
 	}
-	if p.DataDir == "" {
-		p.DataDir = os.Getenv("ACYCLICJOIN_DATADIR")
-	}
-	if p.Strategy == "" {
-		p.Strategy = os.Getenv("ACYCLICJOIN_STRATEGY")
-	}
-	if p.Shards == 0 {
-		// Lenient: a malformed ACYCLICJOIN_SHARDS is rejected with an error
-		// by the library's RunContext; here it just means no shard arm.
-		if n, err := cli.Shards(0); err == nil {
-			p.Shards = n
-		} else {
-			p.Shards = 1
-		}
-	}
-	if p.DevFaultRate == 0 {
-		// Lenient like Shards: a malformed env value means no device faults
-		// here; RunContext is where it errors.
-		if r, err := cli.DevFaultRate(0); err == nil {
-			p.DevFaultRate = r
-		}
-	}
 	if p.DevFaultSeed == 0 {
-		if s, err := cli.DevFaultSeed(0); err == nil {
-			p.DevFaultSeed = s
-		} else {
-			p.DevFaultSeed = 1
-		}
+		p.DevFaultSeed = 1
 	}
 	return p
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"acyclicjoin/internal/cli"
 	"acyclicjoin/internal/core"
 	"acyclicjoin/internal/opcache"
 )
@@ -60,7 +61,7 @@ func TestRatio(t *testing.T) {
 // Every experiment must run clean at small scale. This is the integration
 // test for the whole stack: algorithms, workloads, bounds.
 func TestAllExperimentsSmallScale(t *testing.T) {
-	p := Params{M: 64, B: 8, Scale: 1, Seed: 42}
+	p := envParams(t, Params{M: 64, B: 8, Scale: 1, Seed: 42})
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -81,7 +82,7 @@ func TestAllExperimentsSmallScale(t *testing.T) {
 // Shape assertions at small scale: optimal algorithms must stay within a
 // generous constant factor of their bound (the Õ hides a log factor).
 func TestBoundTracking(t *testing.T) {
-	p := Params{M: 64, B: 8, Scale: 1, Seed: 7}
+	p := envParams(t, Params{M: 64, B: 8, Scale: 1, Seed: 7})
 	checks := map[string]float64{
 		"E1":  64, // ratio column tolerance
 		"E4":  64,
@@ -117,7 +118,7 @@ func TestBoundTracking(t *testing.T) {
 // The randomized verification sweep is itself part of the test suite (it
 // caught a real soundness bug in bud peeling under AssumeReduced).
 func TestVerifySweep(t *testing.T) {
-	tab, err := VerifySweep(Params{Seed: 1}, 6)
+	tab, err := VerifySweep(envParams(t, Params{Seed: 1}), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestVerifySweepScoped(t *testing.T) {
 	if _, _, err = strategySweep(Params{Strategy: "bogus"}); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
-	if _, err := VerifySweep(Params{Seed: 2, Strategy: "greedy"}, 4); err != nil {
+	if _, err := VerifySweep(envParams(t, Params{Seed: 2, Strategy: "greedy"}), 4); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -153,7 +154,7 @@ func TestVerifySweepScoped(t *testing.T) {
 // sweep's, and a plan within 1.5x of the oracle's best branch. (Row equality
 // is enforced inside runE28 itself — a mismatch is an error, not a cell.)
 func TestE28Thresholds(t *testing.T) {
-	p := Params{Seed: 1}.WithDefaults()
+	p := envParams(t, Params{Seed: 1}).WithDefaults()
 	for w := range memoWorkloads {
 		gr, err := runGreedyArm(p, w, core.StrategyGreedy)
 		if err != nil {
@@ -182,21 +183,42 @@ func TestE28Thresholds(t *testing.T) {
 	}
 }
 
-// NoSortCache is the deprecated alias of NoMemo: newDisk attaches the
-// operator memo only when BOTH are false (mirroring the core Options
-// resolution, where the memo is off when either field is off).
-func TestNoSortCacheAliasMatrix(t *testing.T) {
-	cases := []struct{ noMemo, noSortCache, want bool }{
-		{false, false, true},
-		{true, false, false},
-		{false, true, false},
-		{true, true, false},
-	}
-	for _, c := range cases {
-		d := newDisk(Params{M: 64, B: 8, NoMemo: c.noMemo, NoSortCache: c.noSortCache})
-		if got := opcache.Of(d) != nil; got != c.want {
-			t.Errorf("NoMemo=%v NoSortCache=%v: memo attached = %v, want %v",
-				c.noMemo, c.noSortCache, got, c.want)
+// newDisk attaches the operator memo unless NoMemo is set.
+func TestNoMemoDetachesMemo(t *testing.T) {
+	for _, noMemo := range []bool{false, true} {
+		d := newDisk(Params{M: 64, B: 8, NoMemo: noMemo})
+		if got := opcache.Of(d) != nil; got == noMemo {
+			t.Errorf("NoMemo=%v: memo attached = %v", noMemo, got)
 		}
+	}
+}
+
+// envParams applies the ACYCLICJOIN_* environment to p the way joinbench
+// applies it to its flags: a field the test sets wins over its variable. The
+// suite's experiment runs go through it, so setting ACYCLICJOIN_BACKEND,
+// ACYCLICJOIN_SHARDS, ACYCLICJOIN_STRATEGY or ACYCLICJOIN_DEVFAULTRATE
+// re-runs them on that backend, shard arm, strategy or device fault rate.
+// The harness itself never reads the environment.
+func envParams(tb testing.TB, p Params) Params {
+	tb.Helper()
+	env, err := cli.Config{Strategy: p.Strategy, Backend: p.Backend, DataDir: p.DataDir,
+		SyncDevice: p.SyncDevice, Shards: p.Shards,
+		DevFaultRate: p.DevFaultRate, DevFaultSeed: p.DevFaultSeed}.FromEnv()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p.Strategy, p.Backend, p.DataDir, p.SyncDevice = env.Strategy, env.Backend, env.DataDir, env.SyncDevice
+	p.Shards, p.DevFaultRate, p.DevFaultSeed = env.Shards, env.DevFaultRate, env.DevFaultSeed
+	return p
+}
+
+// envParams routes experiment machines onto the environment's backend.
+func TestEnvParamsRoutesBackend(t *testing.T) {
+	t.Setenv(cli.EnvBackend, "file")
+	if got := newDisk(envParams(t, Params{M: 64, B: 8})).BackendName(); got != "file" {
+		t.Fatalf("backend = %q, want file", got)
+	}
+	if got := newDisk(envParams(t, Params{M: 64, B: 8, Backend: "sim"})).BackendName(); got != "sim" {
+		t.Fatalf("explicit backend: got %q, want sim", got)
 	}
 }

@@ -39,7 +39,7 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full registry twice")
 	}
-	p := Params{M: 64, B: 8, Scale: 1, Seed: 42}
+	p := envParams(t, Params{M: 64, B: 8, Scale: 1, Seed: 42})
 	render := func(os []Outcome) []string {
 		out := make([]string, 0, len(os))
 		for _, o := range os {
@@ -67,7 +67,7 @@ func TestRunAllEmptyAndSingle(t *testing.T) {
 		t.Errorf("RunAll(nil) = %d outcomes", len(got))
 	}
 	e := All()[0]
-	got := RunAll([]*Experiment{e}, Params{M: 64, B: 8, Scale: 1, Seed: 42}, 4)
+	got := RunAll([]*Experiment{e}, envParams(t, Params{M: 64, B: 8, Scale: 1, Seed: 42}), 4)
 	if len(got) != 1 || got[0].Exp != e || got[0].Err != nil {
 		t.Errorf("single-experiment RunAll = %+v", got)
 	}

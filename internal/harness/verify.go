@@ -136,7 +136,7 @@ func VerifySweep(p Params, trials int) (*Table, error) {
 // sweeps everything (variants on StrategySmallest, as always); a named
 // strategy restricts the sweep and the variants to that strategy's arms,
 // which is how CI re-runs the whole randomized suite under one planner
-// (e.g. ACYCLICJOIN_STRATEGY=greedy) with no code changes.
+// (joinbench -strategy greedy, or ACYCLICJOIN_STRATEGY=greedy).
 func strategySweep(p Params) ([]core.Options, core.Strategy, error) {
 	all := []core.Options{
 		{Strategy: core.StrategyFirst},
@@ -149,18 +149,9 @@ func strategySweep(p Params) ([]core.Options, core.Strategy, error) {
 	if p.Strategy == "" {
 		return all, core.StrategySmallest, nil
 	}
-	var want core.Strategy
-	switch p.Strategy {
-	case "exhaustive":
-		want = core.StrategyExhaustive
-	case "first":
-		want = core.StrategyFirst
-	case "smallest":
-		want = core.StrategySmallest
-	case "greedy":
-		want = core.StrategyGreedy
-	default:
-		return nil, 0, fmt.Errorf("harness: unknown strategy %q (want exhaustive, first, smallest, or greedy)", p.Strategy)
+	want, err := core.ParseStrategy(p.Strategy)
+	if err != nil {
+		return nil, 0, fmt.Errorf("harness: %w", err)
 	}
 	var out []core.Options
 	for _, o := range all {

@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 
-	"acyclicjoin/internal/cli"
 	"acyclicjoin/internal/core"
 	"acyclicjoin/internal/extmem"
-	"acyclicjoin/internal/extmem/diskfile"
 	"acyclicjoin/internal/extmem/faultbackend"
 	"acyclicjoin/internal/opcache"
 	"acyclicjoin/internal/reducer"
@@ -41,21 +39,13 @@ const (
 )
 
 // ParseStrategy maps a strategy name ("exhaustive", "first", "smallest",
-// "greedy") to its Strategy value; used by the CLIs and the harness to
-// thread the -strategy flag and the ACYCLICJOIN_STRATEGY environment
-// variable.
+// "greedy"; empty means exhaustive) to its Strategy value.
 func ParseStrategy(name string) (Strategy, error) {
-	switch name {
-	case "", "exhaustive":
-		return StrategyExhaustive, nil
-	case "first":
-		return StrategyFirst, nil
-	case "smallest":
-		return StrategySmallest, nil
-	case "greedy":
-		return StrategyGreedy, nil
+	s, err := core.ParseStrategy(name)
+	if err != nil {
+		return s, fmt.Errorf("acyclicjoin: %w", err)
 	}
-	return StrategyExhaustive, fmt.Errorf("acyclicjoin: unknown strategy %q (want exhaustive, first, smallest, or greedy)", name)
+	return s, nil
 }
 
 // Options configures a Run.
@@ -65,9 +55,6 @@ type Options struct {
 	// Block is B, the block size in tuples. Default 64.
 	Block int
 	// Strategy resolves the nondeterministic peeling. Default exhaustive.
-	// The CLIs (joinrun/joinbench) and the harness additionally honor the
-	// ACYCLICJOIN_STRATEGY environment variable when no -strategy flag is
-	// given; see ParseStrategy.
 	Strategy Strategy
 	// SkipReduce skips the Yannakakis full reduction preprocessing. The
 	// result is still correct, but the optimality guarantees assume fully
@@ -127,25 +114,20 @@ type Options struct {
 	// cache, byte-verifying charged reads against the in-memory image. The
 	// model sits entirely above the seam, so Count, Stats, the winning plan,
 	// and the emitted rows are bit-identical across backends; Result.Device
-	// reports the file engine's syscall-level telemetry. An empty value
-	// falls back to the ACYCLICJOIN_BACKEND environment variable, letting a
-	// whole test suite be re-run on the file engine without code changes.
+	// reports the file engine's syscall-level telemetry.
 	Backend string
-	// DataDir is where the file backend keeps its backing file. Empty means
-	// the ACYCLICJOIN_DATADIR environment variable, and failing that the
-	// system temp directory with the file unlinked at creation (storage
-	// lives only as an open descriptor and is reclaimed even on a crash).
-	// Ignored by the sim backend.
+	// DataDir is where the file backend keeps its backing file. Empty (the
+	// default) means the system temp directory with the file unlinked at
+	// creation (storage lives only as an open descriptor and is reclaimed
+	// even on a crash). Ignored by the sim backend.
 	DataDir string
 	// SyncDevice forces the file backend's synchronous device path: charged
 	// writes pwrite inline and demand misses pread before the charged
 	// operation returns, with no background writeback or prefetch workers.
-	// Off (the default) uses the asynchronous device pipeline; the
-	// ACYCLICJOIN_SYNC_DEVICE environment variable also forces the
-	// synchronous path when this field is false. Every charged counter,
-	// verification, and emitted row is bit-identical either way — the knob
-	// trades only wall-clock overlap and exists as an escape hatch and for
-	// A/B benchmarking. Ignored by the sim backend.
+	// Off (the default) uses the asynchronous device pipeline. Every charged
+	// counter, verification, and emitted row is bit-identical either way —
+	// the knob trades only wall-clock overlap and exists as an escape hatch
+	// and for A/B benchmarking. Ignored by the sim backend.
 	SyncDevice bool
 	// Shards is p, the number of simulated MPC servers the join executes
 	// across (internal/shard): after the full reduction the input is
@@ -153,13 +135,11 @@ type Options struct {
 	// servers, small relations broadcast — and each server evaluates the
 	// query on its own child disk, concurrently, with deterministic
 	// server-order merging. Result.Shards then reports the per-round load
-	// accounting. 0 (the default) falls back to the ACYCLICJOIN_SHARDS
-	// environment variable, and failing that to 1; at 1 the shard machinery
-	// is bypassed entirely and the run is the classic single-server
-	// execution — when sharding was explicitly requested (field or env set),
-	// Result.Shards still reports the bypass via LoadStats.Bypass. The
-	// emitted row MULTISET is bit-identical at every shard
-	// count (on both backends, all memo modes); the emission order is
+	// accounting. 0 (the default) or 1 bypasses the shard machinery entirely:
+	// the run is the classic single-server execution, and an explicit 1 still
+	// reports the bypass in Result.Shards via LoadStats.Bypass. The emitted
+	// row MULTISET is bit-identical at every shard count (on both backends,
+	// all memo modes); the emission order is
 	// server-major, so it differs from the unsharded order. Sharded runs
 	// always use Algorithm 2 — the Section 6 line dispatcher is a
 	// single-server plan — and report Greedy == nil.
@@ -184,9 +164,8 @@ type Options struct {
 	// Failures the engine cannot absorb abort with a typed error (ErrDevice,
 	// ErrNoSpace, ErrCorruption) and a partial Result — or, with
 	// DeviceFaultPlan.Degrade set, a dead device transparently re-runs the
-	// query on the counting simulator (Result.Degraded reports it). nil falls
-	// back to the ACYCLICJOIN_DEVFAULTRATE / ACYCLICJOIN_DEVFAULTSEED
-	// environment variables; a plan (or env rate) on the sim backend is a
+	// query on the counting simulator (Result.Degraded reports it). nil —
+	// the default — injects nothing; a plan on the sim backend is a
 	// documented no-op — there are no syscalls to fault.
 	DeviceFaults *DeviceFaultPlan
 }
@@ -222,11 +201,6 @@ func (o Options) withDefaults() Options {
 	if o.Block == 0 {
 		o.Block = 64
 	}
-	o.Backend = cli.BackendName(o.Backend)
-	if o.Backend == "" {
-		o.Backend = "sim"
-	}
-	o.DataDir = cli.DataDir(o.DataDir)
 	return o
 }
 
@@ -281,10 +255,6 @@ type Result struct {
 	// may miss on the same operator before either stores it). All zero
 	// when the memo is off.
 	Memo MemoStats
-	// SortCache mirrors Memo under its former name.
-	//
-	// Deprecated: read Memo instead.
-	SortCache SortCacheStats
 	// Faults reports fault-injection telemetry when Options.Faults was set:
 	// transient/permanent faults seen, inline and boundary retries, the I/O
 	// re-charged by retries, and the simulated backoff cost. All zero when
@@ -353,11 +323,6 @@ type GreedyDecision = core.GreedyDecision
 // GreedyScore is one candidate's scoring record within a GreedyDecision.
 type GreedyScore = core.GreedyScore
 
-// SortCacheStats is the former name of MemoStats.
-//
-// Deprecated: use MemoStats.
-type SortCacheStats = MemoStats
-
 // Run evaluates the join, calling emit (if non-nil) once per result. The
 // Row passed to emit is freshly allocated per call; for counting-only runs
 // pass nil and read Result.Count. Equivalent to RunContext with a
@@ -384,25 +349,8 @@ func RunContext(ctx context.Context, q *Query, inst *Instance, opts Options, emi
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	shards, err := cli.Shards(opts.Shards)
-	if err != nil {
-		return nil, fmt.Errorf("acyclicjoin: %w", err)
-	}
-	if shards < 1 || shards > shard.MaxShards {
-		return nil, fmt.Errorf("acyclicjoin: shard count %d out of range [1, %d]", shards, shard.MaxShards)
-	}
-	if opts.DeviceFaults == nil {
-		rate, rerr := cli.DevFaultRate(0)
-		if rerr != nil {
-			return nil, fmt.Errorf("acyclicjoin: %w", rerr)
-		}
-		seed, serr := cli.DevFaultSeed(0)
-		if serr != nil {
-			return nil, fmt.Errorf("acyclicjoin: %w", serr)
-		}
-		if rate > 0 {
-			opts.DeviceFaults = &DeviceFaultPlan{Seed: seed, Rate: rate}
-		}
+	if opts.Shards < 0 || opts.Shards > shard.MaxShards {
+		return nil, fmt.Errorf("acyclicjoin: shard count %d out of range [1, %d]", opts.Shards, shard.MaxShards)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -411,9 +359,9 @@ func RunContext(ctx context.Context, q *Query, inst *Instance, opts Options, emi
 		return nil, fmt.Errorf("%w: %w", ErrCancelled, context.Cause(ctx))
 	}
 	if p := opts.DeviceFaults; p != nil && p.Degrade && p.Enabled() && opts.Backend == "file" {
-		return runDegradable(ctx, q, inst, opts, shards, cfg, emit)
+		return runDegradable(ctx, q, inst, opts, cfg, emit)
 	}
-	return runOnce(ctx, q, inst, opts, shards, cfg, emit)
+	return runOnce(ctx, q, inst, opts, cfg, emit)
 }
 
 // runDegradable runs the query on the (fault-injected) file backend and, when
@@ -422,13 +370,13 @@ func RunContext(ctx context.Context, q *Query, inst *Instance, opts Options, emi
 // their typed aborts — transparently re-runs it on the counting simulator.
 // First-attempt emissions are buffered so the caller sees the rows of exactly
 // one successful run, never a partial prefix followed by a fallback replay.
-func runDegradable(ctx context.Context, q *Query, inst *Instance, opts Options, shards int, cfg extmem.Config, emit func(Row)) (*Result, error) {
+func runDegradable(ctx context.Context, q *Query, inst *Instance, opts Options, cfg extmem.Config, emit func(Row)) (*Result, error) {
 	var buf []Row
 	bufEmit := emit
 	if emit != nil {
 		bufEmit = func(r Row) { buf = append(buf, r) }
 	}
-	res, err := runOnce(ctx, q, inst, opts, shards, cfg, bufEmit)
+	res, err := runOnce(ctx, q, inst, opts, cfg, bufEmit)
 	if err == nil {
 		for _, r := range buf {
 			emit(r)
@@ -443,7 +391,7 @@ func runDegradable(ctx context.Context, q *Query, inst *Instance, opts Options, 
 	fopts.DataDir = ""
 	fopts.SyncDevice = false
 	fopts.DeviceFaults = nil
-	res2, err2 := runOnce(ctx, q, inst, fopts, shards, cfg, emit)
+	res2, err2 := runOnce(ctx, q, inst, fopts, cfg, emit)
 	if err2 != nil {
 		return res2, err2
 	}
@@ -459,10 +407,11 @@ func runDegradable(ctx context.Context, q *Query, inst *Instance, opts Options, 
 
 // runOnce executes one attempt of the query on one backend disk; RunContext
 // owns validation and the degraded-mode retry policy above it.
-func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, shards int, cfg extmem.Config, emit func(Row)) (res *Result, err error) {
-	disk, closeBackend, err := newBackendDisk(cfg, opts)
+func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg extmem.Config, emit func(Row)) (res *Result, err error) {
+	disk, closeBackend, err := faultbackend.NewDisk(cfg, faultbackend.Engine{
+		Backend: opts.Backend, DataDir: opts.DataDir, SyncDevice: opts.SyncDevice, Faults: opts.DeviceFaults})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("acyclicjoin: %w", err)
 	}
 	defer closeBackend()
 	disk.SetFaultPlan(opts.Faults)
@@ -487,11 +436,7 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, shards
 	// data is assumed to already reside on disk when the algorithm starts.
 	restore := disk.Suspend()
 	in := relation.Instance{}
-	for _, i := range q.relIndex {
-		schema := make(tuple.Schema, len(q.relAttrs[i]))
-		for j, a := range q.relAttrs[i] {
-			schema[j] = q.attrIDs[a]
-		}
+	for i, schema := range q.relSchema {
 		in[i] = relation.FromTuples(disk, schema, inst.rows[i])
 	}
 	restore()
@@ -509,7 +454,7 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, shards
 	// An explicit shards=1 request takes the unsharded executor below (the
 	// bypass) but still reports Result.Shards; capture N now, while the
 	// reduced relations are untouched (Len is charge-free).
-	shardBypass := shards == 1 && cli.ShardsRequested(opts.Shards)
+	shardBypass := opts.Shards == 1
 	var shardInputN int64
 	if shardBypass {
 		for _, id := range relation.SortedEdgeIDs(q.graph) {
@@ -528,7 +473,7 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, shards
 		row := make(Row, len(attrOrder))
 		for name, id := range q.attrIDs {
 			if a.Has(id) {
-				row[name] = inst.dict.decode(a.Get(id))
+				row[name] = inst.decode(id, a.Get(id))
 			}
 		}
 		emit(row)
@@ -544,12 +489,12 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, shards
 		MemoLimits:    memoLimits,
 		SortCache:     opts.SortCache,
 	}
-	if shards > 1 {
-		r, serr := shard.Run(q.graph, work, coreEmit, shard.Options{Shards: shards, Core: copts})
+	if opts.Shards > 1 {
+		r, serr := shard.Run(q.graph, work, coreEmit, shard.Options{Shards: opts.Shards, Core: copts})
 		if serr != nil {
 			return abortResult(disk, count, serr)
 		}
-		res.Plan = fmt.Sprintf("acyclic-join (Algorithm 2), strategy %s, sharded MPC x%d", opts.Strategy, shards)
+		res.Plan = fmt.Sprintf("acyclic-join (Algorithm 2), strategy %s, sharded MPC x%d", opts.Strategy, opts.Shards)
 		res.Branches = r.Branches
 		res.Prune = r.Prune
 		res.ClampedChoices = r.ClampedChoices
@@ -608,37 +553,8 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, shards
 	res.Device = disk.DeviceStats()
 	if m := opcache.Of(disk); m != nil {
 		res.Memo = m.Stats()
-		res.SortCache = res.Memo
 	}
 	return res, nil
-}
-
-// newBackendDisk builds the simulated disk on the configured storage engine
-// and returns a release function for the engine's resources.
-func newBackendDisk(cfg extmem.Config, opts Options) (*extmem.Disk, func(), error) {
-	switch opts.Backend {
-	case "sim":
-		return extmem.NewDisk(cfg), func() {}, nil
-	case "file":
-		if p := opts.DeviceFaults; p != nil && p.Enabled() {
-			b, err := faultbackend.Open(opts.DataDir, cfg, opts.SyncDevice || diskfile.SyncFromEnv(), *p)
-			if err != nil {
-				return nil, nil, fmt.Errorf("acyclicjoin: open file backend: %w", err)
-			}
-			return extmem.NewDiskWithBackend(cfg, b), func() { b.Close() }, nil
-		}
-		open := diskfile.Open // async unless ACYCLICJOIN_SYNC_DEVICE is set
-		if opts.SyncDevice {
-			open = diskfile.OpenSync
-		}
-		eng, err := open(opts.DataDir, cfg)
-		if err != nil {
-			return nil, nil, fmt.Errorf("acyclicjoin: open file backend: %w", err)
-		}
-		return extmem.NewDiskWithBackend(cfg, eng), func() { eng.Close() }, nil
-	default:
-		return nil, nil, fmt.Errorf("acyclicjoin: unknown backend %q (want \"sim\" or \"file\")", opts.Backend)
-	}
 }
 
 // Count evaluates the join and returns only the number of results and stats.

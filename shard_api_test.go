@@ -13,7 +13,7 @@ import (
 func shardRunRows(t *testing.T, q *Query, inst *Instance, opts Options) (*Result, []string) {
 	t.Helper()
 	var rows []string
-	res, err := Run(q, inst, opts, func(row Row) {
+	res, err := Run(q, inst, envOptions(t, opts), func(row Row) {
 		rows = append(rows, canonRow(q, row))
 	})
 	if err != nil {
@@ -86,7 +86,7 @@ func TestShardDifferentialPublicAPI(t *testing.T) {
 // plan line, Result.Shards, and the ExplainString sharding block.
 func TestShardExplainReport(t *testing.T) {
 	q, inst := buildTinyQuery(t)
-	res, err := Run(q, inst, Options{Memory: 64, Block: 8, Shards: 4}, nil)
+	res, err := Run(q, inst, envOptions(t, Options{Memory: 64, Block: 8, Shards: 4}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,40 +106,14 @@ func TestShardExplainReport(t *testing.T) {
 	}
 }
 
-// TestShardEnvFallback proves $ACYCLICJOIN_SHARDS routes a default-options
-// run onto the sharded executor, and that an explicit Options.Shards wins
-// over the environment.
-func TestShardEnvFallback(t *testing.T) {
-	t.Setenv("ACYCLICJOIN_SHARDS", "3")
-	q, inst := buildTinyQuery(t)
-	res, err := Run(q, inst, Options{Memory: 64, Block: 8}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Shards == nil || res.Shards.Shards != 3 {
-		t.Fatalf("Result.Shards = %+v, want 3 servers via ACYCLICJOIN_SHARDS", res.Shards)
-	}
-	res, err = Run(q, inst, Options{Memory: 64, Block: 8, Shards: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Shards == nil || res.Shards.Shards != 2 {
-		t.Fatalf("Result.Shards = %+v, want Options.Shards=2 to beat the env", res.Shards)
-	}
-}
-
-// TestShardBadConfigRejected pins the errors for an unparseable
-// $ACYCLICJOIN_SHARDS and an out-of-range Options.Shards.
+// TestShardBadConfigRejected pins the error for an out-of-range
+// Options.Shards.
 func TestShardBadConfigRejected(t *testing.T) {
 	q, inst := buildTinyQuery(t)
-	t.Setenv("ACYCLICJOIN_SHARDS", "banana")
-	_, err := Run(q, inst, Options{Memory: 64, Block: 8}, nil)
-	if err == nil || !strings.Contains(err.Error(), "ACYCLICJOIN_SHARDS") {
-		t.Fatalf("err = %v, want a bad ACYCLICJOIN_SHARDS error", err)
-	}
-	t.Setenv("ACYCLICJOIN_SHARDS", "")
-	_, err = Run(q, inst, Options{Memory: 64, Block: 8, Shards: MaxShards + 1}, nil)
-	if err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("err = %v, want an out-of-range error", err)
+	for _, n := range []int{-1, MaxShards + 1} {
+		_, err := Run(q, inst, Options{Memory: 64, Block: 8, Shards: n}, nil)
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("Shards=%d: err = %v, want an out-of-range error", n, err)
+		}
 	}
 }
