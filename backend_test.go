@@ -58,9 +58,8 @@ func checkTransferParity(t *testing.T, label string, res *Result) {
 // Count, the executed branch's Stats, and the plan must be bit-identical
 // across backends in every configuration; PlanningStats and the transfer
 // ledger are additionally bit-identical whenever they are deterministic
-// (pruning off or sequential, and for the ledger unsharded — under pruning
-// with workers, or across concurrent shard servers, the split depends on
-// timing on BOTH backends, so only per-run parity is checked).
+// (pruning off or sequential — under pruning with workers the planning split
+// depends on timing on BOTH backends, so only per-run parity is checked).
 func TestDifferentialBackendsPublicAPI(t *testing.T) {
 	configs := []struct {
 		name string
@@ -106,12 +105,7 @@ func TestDifferentialBackendsPublicAPI(t *testing.T) {
 				t.Fatalf("%s: results diverge:\nsim  %+v\nfile %+v", label, simRes, fileRes)
 			}
 			deterministic := simOpts.NoPrune || simOpts.Parallelism == 0
-			// Shard servers run concurrently and share the operator memo, so
-			// a sharded run's performed/replayed split is timing-dependent
-			// too.
-			sharded := simRes.Shards != nil && simRes.Shards.Shards > 1
-			if deterministic && (simRes.PlanningStats != fileRes.PlanningStats ||
-				!sharded && simRes.Transfers != fileRes.Transfers) {
+			if deterministic && (simRes.PlanningStats != fileRes.PlanningStats || simRes.Transfers != fileRes.Transfers) {
 				t.Fatalf("%s: planning accounting diverges:\nsim  planning %+v transfers %+v\nfile planning %+v transfers %+v",
 					label, simRes.PlanningStats, simRes.Transfers, fileRes.PlanningStats, fileRes.Transfers)
 			}

@@ -105,7 +105,10 @@ func TestRunContextCancelMidRun(t *testing.T) {
 // to the fault-free run; the retries show up only on Result.Faults.
 func TestRunTransientFaultsBitIdentical(t *testing.T) {
 	q, inst := chaosQuery(t, 4)
-	base := smallOpts()
+	// The explicit empty device plan keeps the baseline fault-free under an
+	// environment that injects device faults; backend and shards still
+	// follow it.
+	base := envOptions(t, Options{Memory: 64, Block: 4, DeviceFaults: &DeviceFaultPlan{}})
 	want, err := Run(q, inst, base, nil)
 	if err != nil {
 		t.Fatal(err)

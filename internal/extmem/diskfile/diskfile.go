@@ -900,10 +900,19 @@ func (e *engine) loadGroup(frs []*frame, off int64, cells []int, demand bool) {
 	fb := int(frs[0].pf.frameBytes)
 	nbytes := fb*(len(frs)-1) + cells[len(frs)-1]*8
 	buf := getBuf(nbytes)
-	e.mu.Unlock()
-	out := e.devReadAt(buf, off)
-	e.mu.Lock()
-	e.foldDev(opRead, out)
+	var out devOutcome
+	if e.ioErr != nil {
+		// A failed writeback (ENOSPC, say) may have left these frames off the
+		// device; reading past the arena's end would only be retried until
+		// the device is declared dead. The latched error already aborts the
+		// run at the next charged operation.
+		out.err = e.ioErr
+	} else {
+		e.mu.Unlock()
+		out = e.devReadAt(buf, off)
+		e.mu.Lock()
+		e.foldDev(opRead, out)
+	}
 	if out.err != nil {
 		k := frs[0].key
 		e.failAsync(fmt.Errorf("%w (phys %d frame %d, %d frames)", out.err, k.phys, k.idx, len(frs)))

@@ -350,11 +350,52 @@ func (m *Memo) store(d *extmem.Disk, op Op, id string, hash uint64, outs []*extm
 	if _, dup := m.byID[id]; dup {
 		return // a concurrent branch raced the same operator in first
 	}
-	m.byID[id] = e
-	m.byHash[hash] = append(m.byHash[hash], e)
+	m.insertLocked(e)
+}
+
+// insertLocked makes e the most recently used entry under all of its ids,
+// then evicts down to the limits.
+func (m *Memo) insertLocked(e *entry) {
+	for _, id := range e.ids {
+		m.byID[id] = e
+	}
+	m.byHash[e.hash] = append(m.byHash[e.hash], e)
 	e.elem = m.lru.PushFront(e)
 	m.tuples += e.tuples
 	m.evictLocked(e)
+}
+
+// Fork returns a private copy of m — same limits, same entries in the same
+// recency order, zero counters — for one of several concurrent runs that must
+// not see each other's recordings: the servers of a sharded run. On a shared
+// memo, whichever server reaches an operator first performs it and the others
+// replay it, and a pruned branch's budget cut stops a performing run early
+// but a replaying one at the same charge, so the run's performed/replayed
+// transfer split would depend on server timing. A fork's split depends only
+// on its own run. Each fork applies m's limits on its own.
+func (m *Memo) Fork() *Memo {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f := New(m.lim)
+	for el := m.lru.Back(); el != nil; el = el.Prev() {
+		e := *el.Value.(*entry)
+		e.ids = append([]string(nil), e.ids...)
+		f.insertLocked(&e)
+	}
+	return f
+}
+
+// Join adds a finished fork's counters to m's. The fork's recordings are
+// not copied back: they describe the files of one server's fragment, which
+// the rest of the run never reads.
+func (m *Memo) Join(f *Memo) {
+	st := f.Stats()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.stats.Hits += st.Hits
+	m.stats.Misses += st.Misses
+	m.stats.Evictions += st.Evictions
+	m.stats.BytesReplayed += st.BytesReplayed
 }
 
 // evictLocked drops least-recently-used entries until both limits hold. The

@@ -517,3 +517,37 @@ func TestAbortedRecordingDiscarded(t *testing.T) {
 		t.Fatalf("stats after aborted recording = %+v, want second miss, no hits", cs)
 	}
 }
+
+// A fork sees its parent's entries but not its siblings' recordings, and
+// Join adds only the fork's counters to the parent.
+func TestForkJoin(t *testing.T) {
+	d := extmem.NewDisk(extmem.Config{M: 16, B: 4})
+	m := opcache.Enable(d)
+	shared := fill(d, 2, rows(6))
+	if _, _, err := doCopy(d, opcache.In(shared)); err != nil {
+		t.Fatal(err)
+	}
+	forks := []*opcache.Memo{m.Fork(), m.Fork()}
+	for _, f := range forks {
+		c := d.NewChild()
+		c.SetOpMemo(f)
+		if _, _, err := doCopy(c, opcache.In(shared.CloneTo(c))); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := doCopy(c, opcache.In(fill(c, 2, rows(9)))); err != nil {
+			t.Fatal(err)
+		}
+		if st := f.Stats(); st.Hits != 1 || st.Misses != 1 {
+			t.Fatalf("fork hits/misses = %d/%d, want 1/1 (its sibling's recording must stay invisible)", st.Hits, st.Misses)
+		}
+	}
+	for _, f := range forks {
+		m.Join(f)
+	}
+	if st := m.Stats(); st.Hits != 2 || st.Misses != 3 {
+		t.Fatalf("joined hits/misses = %d/%d, want 2/3", st.Hits, st.Misses)
+	}
+	if n, _ := m.Retained(); n != 1 {
+		t.Fatalf("parent holds %d entries after Join, want 1", n)
+	}
+}

@@ -52,7 +52,10 @@
 // buffered per server and replayed in server order — deterministic, and
 // order-insensitive as a multiset — while the children's counters fold back
 // into the parent with extmem.Disk.Absorb in the same fixed order, the exact
-// merge discipline of internal/core's parallel branch explorer.
+// merge discipline of internal/core's parallel branch explorer. Each server
+// records into a private fork of the parent's operator memo, so the
+// performed/replayed transfer split is as deterministic as an unsharded
+// run's.
 package shard
 
 import (
@@ -66,6 +69,7 @@ import (
 	"acyclicjoin/internal/core"
 	"acyclicjoin/internal/extmem"
 	"acyclicjoin/internal/hypergraph"
+	"acyclicjoin/internal/opcache"
 	"acyclicjoin/internal/relation"
 	"acyclicjoin/internal/tuple"
 )
@@ -289,6 +293,18 @@ func Run(g *hypergraph.Graph, in relation.Instance, emit core.Emit, opts Options
 	for s := range children {
 		children[s] = parent.NewChild()
 	}
+	// Each server records into its own fork of the parent's operator memo,
+	// so its performed/replayed transfer split never depends on the other
+	// servers' timing.
+	memo := opcache.Of(parent)
+	var forks []*opcache.Memo
+	if memo != nil {
+		forks = make([]*opcache.Memo, p)
+		for s, c := range children {
+			forks[s] = memo.Fork()
+			c.SetOpMemo(forks[s])
+		}
+	}
 
 	res := &Result{}
 	var insts []relation.Instance
@@ -343,6 +359,9 @@ func Run(g *hypergraph.Graph, in relation.Instance, emit core.Emit, opts Options
 			dead.Discard()
 			fresh := parent.NewChild()
 			fresh.DisarmFaults()
+			if forks != nil {
+				fresh.SetOpMemo(forks[s])
+			}
 			children[s] = fresh
 			var inst relation.Instance
 			if rerr := parent.RecoveryScope(func() error {
@@ -369,6 +388,9 @@ func Run(g *hypergraph.Graph, in relation.Instance, emit core.Emit, opts Options
 	for s, c := range children {
 		compute.PerShard[s] = c.Stats().Sub(distStats[s]).IOs()
 		parent.Absorb(c)
+		if forks != nil {
+			memo.Join(forks[s])
+		}
 		children[s] = nil
 	}
 	compute.Bound = ceilDiv(compute.Total(), int64(p))

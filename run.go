@@ -350,7 +350,7 @@ func RunContext(ctx context.Context, q *Query, inst *Instance, opts Options, emi
 		return nil, err
 	}
 	if opts.Shards < 0 || opts.Shards > shard.MaxShards {
-		return nil, fmt.Errorf("acyclicjoin: shard count %d out of range [1, %d]", opts.Shards, shard.MaxShards)
+		return nil, fmt.Errorf("acyclicjoin: shard count %d out of range [0, %d]", opts.Shards, shard.MaxShards)
 	}
 	if ctx == nil {
 		ctx = context.Background()

@@ -82,6 +82,28 @@ func TestShardDifferentialPublicAPI(t *testing.T) {
 	}
 }
 
+// TestShardedTransfersDeterministic repeats sequential sharded runs with
+// pruning and the memo on: the servers run concurrently, yet the
+// performed/replayed transfer ledger must be identical every time, because
+// each server records into its own fork of the run's operator memo.
+func TestShardedTransfersDeterministic(t *testing.T) {
+	for trial := 0; trial < 15; trial++ {
+		rng := rand.New(rand.NewSource(int64(4000 + trial)))
+		q := randomTreeQuery(rng)
+		inst := q.NewInstance()
+		fillRandom(rng, q, inst, trial%5 == 0)
+		opts := Options{Memory: 64, Block: 8, Shards: 4}
+		first, _ := shardRunRows(t, q, inst, opts)
+		for rep := 1; rep < 6; rep++ {
+			res, _ := shardRunRows(t, q, inst, opts)
+			if res.Transfers != first.Transfers || res.Memo != first.Memo {
+				t.Fatalf("trial %d rep %d: transfers %+v memo %+v, first run %+v memo %+v",
+					trial, rep, res.Transfers, res.Memo, first.Transfers, first.Memo)
+			}
+		}
+	}
+}
+
 // TestShardExplainReport pins the user-facing surface of a sharded run: the
 // plan line, Result.Shards, and the ExplainString sharding block.
 func TestShardExplainReport(t *testing.T) {
