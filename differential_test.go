@@ -115,7 +115,9 @@ func canonRow(q *Query, row Row) string {
 // TestDifferentialAgainstGenericJoin cross-checks the public Run — every
 // strategy, plus the concurrent exhaustive path — against the independent
 // GenericJoin oracle on ~100 random acyclic queries and instances. Counts
-// and the emitted row multisets must agree exactly.
+// and the emitted row multisets must agree exactly; Run's own invariant
+// checks (ledger parity, Count == rows emitted, no chooser clamps) turn any
+// violation into an error.
 func TestDifferentialAgainstGenericJoin(t *testing.T) {
 	const trials = 100
 	configs := []struct {
@@ -150,13 +152,6 @@ func TestDifferentialAgainstGenericJoin(t *testing.T) {
 				t.Fatalf("trial %d %s: Count = %d, oracle = %d (relations %v)",
 					trial, cfg.name, res.Count, len(want), q.Relations())
 			}
-			// The planner's defensive chooser clamps are believed structurally
-			// unreachable; the counter must stay zero across the whole
-			// random-query suite (see Result.ClampedChoices).
-			if res.ClampedChoices != 0 {
-				t.Fatalf("trial %d %s: ClampedChoices = %d, want 0 (relations %v)",
-					trial, cfg.name, res.ClampedChoices, q.Relations())
-			}
 			sort.Strings(got)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d %s: emitted %d rows, oracle %d", trial, cfg.name, len(got), len(want))
@@ -173,10 +168,10 @@ func TestDifferentialAgainstGenericJoin(t *testing.T) {
 // TestCrossStrategyGreedyDifferential grades the greedy planner against the
 // exhaustive oracle on a randomized corpus, across exhaustive worker counts
 // and both storage backends: the emitted row multiset and Count must match
-// exactly, greedy must report a single branch with zero chooser clamps, and
-// on every workload where the oracle actually explored alternatives its
-// planning overhead (PlanningStats beyond Stats) must be strictly above
-// greedy's bounded probes.
+// exactly, greedy must report a single branch (Run itself fails with
+// ErrInternal on a chooser clamp), and on every workload where the oracle
+// actually explored alternatives its planning overhead (PlanningStats
+// beyond Stats) must be strictly above greedy's bounded probes.
 func TestCrossStrategyGreedyDifferential(t *testing.T) {
 	const trials = 12
 	for _, backend := range []string{"sim", "file"} {
@@ -200,9 +195,6 @@ func TestCrossStrategyGreedyDifferential(t *testing.T) {
 				}
 				if gr.Branches != 1 {
 					t.Fatalf("trial %d: greedy explored %d branches", trial, gr.Branches)
-				}
-				if gr.ClampedChoices != 0 {
-					t.Fatalf("trial %d: greedy clamped %d choices", trial, gr.ClampedChoices)
 				}
 				sort.Strings(gotG)
 				for _, workers := range []int{0, 2, 4} {

@@ -58,7 +58,10 @@ type DeviceFaultStats = extmem.DeviceFaultStats
 //     backing arena.
 //   - ErrCorruption: a device frame disagreed with the authoritative
 //     in-memory image and could not be repaired.
-//   - ErrInternal: an unclassified panic crossed the public boundary.
+//   - ErrInternal: an unclassified panic crossed the public boundary, or
+//     a finished Result broke a checked invariant (ledger parity, Count
+//     equal to the rows emitted, no planner clamps); the Result is
+//     returned alongside.
 //
 // Validation errors (malformed queries, bad configuration) are returned
 // as-is and match none of the sentinels.

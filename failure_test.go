@@ -231,3 +231,40 @@ func TestFaultStatsString(t *testing.T) {
 	}
 	_ = fmt.Sprintf("%v", fs)
 }
+
+// checkResult accepts a consistent Result and rejects each broken invariant
+// with ErrInternal: ledger parity, Count against the rows emitted, and a
+// planner clamp.
+func TestCheckResultRejectsInconsistentResult(t *testing.T) {
+	good := func() *Result {
+		return &Result{Count: 5,
+			PlanningStats: Stats{Reads: 10, Writes: 4, IOs: 14},
+			Transfers:     TransferStats{Reads: 7, Writes: 4, ReplayedReads: 3}}
+	}
+	if err := checkResult(good(), true, 5, 0); err != nil {
+		t.Fatalf("consistent Result rejected: %v", err)
+	}
+	reads, writes, count := good(), good(), good()
+	reads.Transfers.ReplayedReads++
+	writes.PlanningStats.Writes++
+	count.Count++
+	for _, c := range []struct {
+		name     string
+		res      *Result
+		emitting bool
+		clamps   int64
+	}{
+		{"read parity", reads, false, 0},
+		{"write parity", writes, false, 0},
+		{"count", count, true, 0},
+		{"clamp", good(), true, 1},
+	} {
+		if err := checkResult(c.res, c.emitting, 5, c.clamps); !errors.Is(err, ErrInternal) {
+			t.Errorf("%s: err = %v, want ErrInternal", c.name, err)
+		}
+	}
+	// Count-only runs have no adapter tally to hold Count against.
+	if err := checkResult(count, false, 5, 0); err != nil {
+		t.Errorf("count-only Result rejected: %v", err)
+	}
+}

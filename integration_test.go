@@ -2,6 +2,7 @@ package acyclicjoin
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -23,7 +24,7 @@ func bruteForce(q *Query, rows map[string][][]Value) []string {
 			sort.Strings(keys)
 			s := ""
 			for _, k := range keys {
-				s += fmt.Sprintf("%s=%v;", k, asg[k])
+				s += fmt.Sprintf("%s=%#v;", k, asg[k])
 			}
 			out = append(out, s)
 			return
@@ -71,7 +72,7 @@ func rowKey(r Row) string {
 	sort.Strings(keys)
 	s := ""
 	for _, k := range keys {
-		s += fmt.Sprintf("%s=%v;", k, r[k])
+		s += fmt.Sprintf("%s=%#v;", k, r[k])
 	}
 	return s
 }
@@ -105,61 +106,95 @@ func randomPublicQuery(rng *rand.Rand, nRel int) (*Query, error) {
 	return qb.Build()
 }
 
+// valueDomains are the value pools of TestPublicAPIRandomQueriesMatchBruteForce.
+// "small" is a dense int range, so joins fan out. "extreme" places ints at
+// both ends of int64 and beside the reserved -1<<62, plus the small
+// negatives the string dictionary uses as codes, and makes about a third of
+// the attributes string-valued, so most relations hold ints beside strings
+// (one string, "-2", even spells a colliding code).
+var valueDomains = []struct {
+	name   string
+	seed   int64
+	ints   []int64
+	strs   []string
+	strPct int // share of attributes that hold strings
+}{
+	{name: "small", seed: 777, ints: []int64{0, 1, 2, 3}},
+	{name: "extreme", seed: 778,
+		ints: []int64{math.MinInt64, math.MaxInt64, -1<<62 - 1, -1<<62 + 1, -2, -1},
+		strs: []string{"x", "-2", ""}, strPct: 33},
+}
+
 // TestPublicAPIRandomQueriesMatchBruteForce is the end-to-end correctness
 // property at the public level: random acyclic queries, random small
-// instances, all strategies and machine shapes.
+// instances over each value domain, all strategies and machine shapes,
+// graded against a nested-loop join. Values print with %#v, so a string
+// never matches the int it spells.
 func TestPublicAPIRandomQueriesMatchBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(777))
-	for trial := 0; trial < 25; trial++ {
-		q, err := randomPublicQuery(rng, 2+rng.Intn(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		inst := q.NewInstance()
-		raw := map[string][][]Value{}
-		for _, rel := range q.Relations() {
-			arity := len(q.AttributesOf(rel))
-			seen := map[string]bool{}
-			for k := 0; k < 5+rng.Intn(25); k++ {
-				vals := make([]Value, arity)
-				for j := range vals {
-					vals[j] = int64(rng.Intn(4))
-				}
-				key := fmt.Sprint(vals)
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				raw[rel] = append(raw[rel], vals)
-				if err := inst.Add(rel, vals...); err != nil {
+	for _, dom := range valueDomains {
+		dom := dom
+		t.Run(dom.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(dom.seed))
+			for trial := 0; trial < 25; trial++ {
+				q, err := randomPublicQuery(rng, 2+rng.Intn(4))
+				if err != nil {
 					t.Fatal(err)
 				}
+				strAttr := map[string]bool{}
+				for _, a := range q.Attributes() {
+					strAttr[a] = rng.Intn(100) < dom.strPct
+				}
+				inst := q.NewInstance()
+				raw := map[string][][]Value{}
+				for _, rel := range q.Relations() {
+					attrs := q.AttributesOf(rel)
+					seen := map[string]bool{}
+					for k := 0; k < 5+rng.Intn(25); k++ {
+						vals := make([]Value, len(attrs))
+						for j, a := range attrs {
+							if strAttr[a] {
+								vals[j] = dom.strs[rng.Intn(len(dom.strs))]
+							} else {
+								vals[j] = dom.ints[rng.Intn(len(dom.ints))]
+							}
+						}
+						key := fmt.Sprintf("%#v", vals)
+						if seen[key] {
+							continue
+						}
+						seen[key] = true
+						raw[rel] = append(raw[rel], vals)
+						if err := inst.Add(rel, vals...); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				want := bruteForce(q, raw)
+				opts := Options{
+					Memory:   []int{24, 64}[rng.Intn(2)],
+					Block:    []int{4, 8}[rng.Intn(2)],
+					Strategy: []Strategy{StrategyExhaustive, StrategyFirst, StrategySmallest, StrategyGreedy}[rng.Intn(4)],
+				}
+				var got []string
+				res, err := Run(q, inst, envOptions(t, opts), func(r Row) { got = append(got, rowKey(r)) })
+				if err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+				sort.Strings(got)
+				if len(got) != len(want) {
+					t.Fatalf("trial %d (%v, opts %+v): %d results, want %d",
+						trial, q.Relations(), opts, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("trial %d: result %d = %q, want %q", trial, i, got[i], want[i])
+					}
+				}
+				if res.Count != int64(len(want)) {
+					t.Fatalf("trial %d: Count = %d, want %d", trial, res.Count, len(want))
+				}
 			}
-		}
-		want := bruteForce(q, raw)
-		opts := Options{
-			Memory:   []int{24, 64}[rng.Intn(2)],
-			Block:    []int{4, 8}[rng.Intn(2)],
-			Strategy: []Strategy{StrategyExhaustive, StrategyFirst, StrategySmallest}[rng.Intn(3)],
-		}
-		var got []string
-		res, err := Run(q, inst, envOptions(t, opts), func(r Row) { got = append(got, rowKey(r)) })
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		sort.Strings(got)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d (%v, opts %+v): %d results, want %d",
-				trial, q.Relations(), opts, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: result %d = %q, want %q", trial, i, got[i], want[i])
-			}
-		}
-		if res.Count != int64(len(want)) {
-			t.Fatalf("trial %d: Count = %d, want %d", trial, res.Count, len(want))
-		}
+		})
 	}
 }
 

@@ -244,11 +244,6 @@ type Result struct {
 	// nested searches are not surfaced here). Under Parallelism >= 1 the
 	// split varies run to run with worker timing.
 	Prune PruneStats
-	// ClampedChoices counts defensive chooser clamps in the exhaustive
-	// planner — a recorded decision meeting a subquery with fewer peelable
-	// leaves than when it was made. Structurally unreachable; surfaced so
-	// the test suite can assert it stays zero.
-	ClampedChoices int64
 	// Memo reports operator-memo effectiveness. The counters are host-side
 	// diagnostics: they never feed into the simulated Stats, and under
 	// Parallelism > 1 the hit/miss split can vary run to run (two branches
@@ -417,7 +412,10 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 	disk.SetFaultPlan(opts.Faults)
 	stop := disk.WatchContext(ctx)
 	defer stop()
-	var count int64
+	// count tallies rows through the emit adapter below; engineCount and
+	// clamps are the engine's own row tally and defensive chooser clamps,
+	// which checkResult holds against it and against zero.
+	var count, engineCount, clamps int64
 	// Last-resort conversion: loading and full reduction run outside
 	// internal/core's catchers, so an abort there still travels as a panic
 	// when it reaches this frame.
@@ -497,7 +495,7 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 		res.Plan = fmt.Sprintf("acyclic-join (Algorithm 2), strategy %s, sharded MPC x%d", opts.Strategy, opts.Shards)
 		res.Branches = r.Branches
 		res.Prune = r.Prune
-		res.ClampedChoices = r.ClampedChoices
+		engineCount, clamps = r.Emitted, r.ClampedChoices
 		load := r.Load
 		res.Shards = &load
 		// Execution stats: reduction + distribution + every server's winning
@@ -505,9 +503,6 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 		execFull := disk.Stats().Sub(r.TotalStats.Sub(r.ExecStats))
 		res.Stats = fromExtmem(execFull)
 		res.PlanningStats = fromExtmem(disk.Stats())
-		if emit == nil {
-			count = r.Emitted
-		}
 	} else if !opts.NoLineSpecialization && q.IsLine() && q.graph.NumEdges() >= 3 {
 		plan, lerr := core.RunLine(q.graph, work, coreEmit, copts)
 		if lerr != nil {
@@ -519,6 +514,7 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 		res.Stats = fromExtmem(disk.Stats())
 		res.PlanningStats = res.Stats
 		res.Branches = 1
+		engineCount = count
 	} else {
 		r, cerr := core.Run(q.graph, work, coreEmit, copts)
 		if cerr != nil {
@@ -527,7 +523,7 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 		res.Plan = "acyclic-join (Algorithm 2), strategy " + opts.Strategy.String()
 		res.Branches = r.Branches
 		res.Prune = r.Prune
-		res.ClampedChoices = r.ClampedChoices
+		engineCount, clamps = r.Emitted, r.ClampedChoices
 		res.Greedy = r.Greedy
 		// Execution stats: reduction + winning branch. Planning adds the
 		// dry runs.
@@ -538,15 +534,12 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 		execFull := full.Sub(total.Sub(exec))
 		res.Stats = fromExtmem(execFull)
 		res.PlanningStats = fromExtmem(full)
-		if emit == nil {
-			count = r.Emitted
-		}
 	}
 	if shardBypass {
 		load := shard.BypassLoad(shardInputN, disk.Stats().IOs())
 		res.Shards = &load
 	}
-	res.Count = count
+	res.Count = engineCount
 	res.Faults = disk.FaultStats()
 	res.Backend = disk.BackendName()
 	res.Transfers = disk.Transfers()
@@ -554,7 +547,30 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 	if m := opcache.Of(disk); m != nil {
 		res.Memo = m.Stats()
 	}
+	if err := checkResult(res, emit != nil, count, clamps); err != nil {
+		return res, err
+	}
 	return res, nil
+}
+
+// checkResult holds a finished Result to the invariants DESIGN.md states:
+// every planning charge is a performed or replayed seam transfer (ledger
+// parity), Count equals the rows the emit adapter delivered when the caller
+// passed an emit, and the exhaustive planner never clamped a recorded
+// choice. A violation is an engine bug and wraps ErrInternal.
+func checkResult(res *Result, emitting bool, emitted, clamps int64) error {
+	switch {
+	case res.PlanningStats.Reads != res.Transfers.TotalReads() ||
+		res.PlanningStats.Writes != res.Transfers.TotalWrites():
+		return fmt.Errorf("%w: ledger parity broken: charged %d/%d, transferred %d/%d", ErrInternal,
+			res.PlanningStats.Reads, res.PlanningStats.Writes,
+			res.Transfers.TotalReads(), res.Transfers.TotalWrites())
+	case emitting && res.Count != emitted:
+		return fmt.Errorf("%w: Count %d, but %d rows emitted", ErrInternal, res.Count, emitted)
+	case clamps != 0:
+		return fmt.Errorf("%w: planner clamped %d recorded choices", ErrInternal, clamps)
+	}
+	return nil
 }
 
 // Count evaluates the join and returns only the number of results and stats.
