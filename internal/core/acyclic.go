@@ -837,27 +837,30 @@ func (x *executor) join(g *hypergraph.Graph, in relation.Instance, depth int, do
 	// the query (no disconnection), and match recursion results against the
 	// chunk by v-value.
 	gLight := g.Without([]int{e.ID}, u)
-	vCol := re.Col(v)
 	return light.LoadChunksBy(v, func(c *relation.Chunk) error {
-		sub := sorted.Clone()
-		delete(sub, e.ID)
-		for _, o := range gamma {
-			filtered, err := relation.SemijoinValues(sorted[o.ID], v, c.Values)
-			if err != nil {
-				return err
-			}
-			sub[o.ID] = filtered
+		return x.joinLightChunk(gLight, sorted, e, re, v, gamma, c, depth, done)
+	})
+}
+
+// joinLightChunk recurses on one chunk of R(e) sorted by v: each neighbour is
+// semijoined down to the chunk's values, and every recursion result is
+// matched against the chunk's run for its v-value.
+func (x *executor) joinLightChunk(gLight *hypergraph.Graph, sorted relation.Instance,
+	e *hypergraph.Edge, re *relation.Relation, v hypergraph.Attr,
+	gamma []*hypergraph.Edge, c *relation.Chunk, depth int, done func()) error {
+	sub := sorted.Clone()
+	delete(sub, e.ID)
+	for _, o := range gamma {
+		filtered, err := relation.SemijoinValues(sorted[o.ID], v, c.Values)
+		if err != nil {
+			return err
 		}
-		idx := make(map[int64][]tuple.Tuple, len(c.Values))
-		for _, t := range c.Tuples {
-			idx[t[vCol]] = append(idx[t[vCol]], t)
+		sub[o.ID] = filtered
+	}
+	return x.join(gLight, sub, depth+1, func() {
+		for _, t := range c.Group(x.asg.Get(v)) {
+			x.bindTuple(re.Schema(), t, done)
 		}
-		return x.join(gLight, sub, depth+1, func() {
-			a := x.asg.Get(v)
-			for _, t := range idx[a] {
-				x.bindTuple(re.Schema(), t, done)
-			}
-		})
 	})
 }
 
@@ -872,26 +875,7 @@ func (x *executor) peelLeafUnsplit(g *hypergraph.Graph, sorted relation.Instance
 	gLight := g.Without([]int{e.ID}, u)
 	vCol := re.Col(v)
 	return re.LoadChunks(func(c *relation.Chunk) error {
-		vals := make(map[int64]bool, len(c.Tuples))
-		idx := make(map[int64][]tuple.Tuple, len(c.Tuples))
-		for _, t := range c.Tuples {
-			vals[t[vCol]] = true
-			idx[t[vCol]] = append(idx[t[vCol]], t)
-		}
-		sub := sorted.Clone()
-		delete(sub, e.ID)
-		for _, o := range gamma {
-			filtered, err := relation.SemijoinValues(sorted[o.ID], v, vals)
-			if err != nil {
-				return err
-			}
-			sub[o.ID] = filtered
-		}
-		return x.join(gLight, sub, depth+1, func() {
-			a := x.asg.Get(v)
-			for _, t := range idx[a] {
-				x.bindTuple(re.Schema(), t, done)
-			}
-		})
+		c.IndexRuns(vCol)
+		return x.joinLightChunk(gLight, sorted, e, re, v, gamma, c, depth, done)
 	})
 }

@@ -14,6 +14,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 
 	"acyclicjoin/internal/extmem"
 	"acyclicjoin/internal/extsort"
@@ -381,11 +382,15 @@ func (r *Relation) Heavy(a tuple.Attr) (heavy []Group, light *Relation, err erro
 // Chunk is an in-memory load of tuples, with the memory accounted until
 // Release is called.
 type Chunk struct {
-	// Tuples are the loaded rows (copies, safe to keep until Release).
+	// Tuples are the loaded rows: copies cut from one slab owned by the
+	// chunk, safe to keep until Release.
 	Tuples []tuple.Tuple
-	// Values is the set of distinct values on the grouping attribute when
-	// the chunk was loaded "by v"; nil for plain chunk loads.
-	Values map[int64]bool
+	// Values holds the distinct values of the grouping column in ascending
+	// order, and Starts the run offsets: the tuples of Values[i] are
+	// Tuples[Starts[i]:Starts[i+1]]. LoadChunksBy fills both; plain chunk
+	// loads leave them nil until IndexRuns.
+	Values []int64
+	Starts []int
 	disk   *extmem.Disk
 	held   int
 }
@@ -398,25 +403,67 @@ func (c *Chunk) Release() {
 	}
 }
 
+// IndexRuns sets Values and Starts from the chunk's tuples, which must be
+// sorted on column col.
+func (c *Chunk) IndexRuns(col int) {
+	k := 0
+	for i, t := range c.Tuples {
+		if i == 0 || t[col] != c.Tuples[i-1][col] {
+			k++
+		}
+	}
+	c.Values, c.Starts = make([]int64, 0, k), make([]int, 0, k+1)
+	for i, t := range c.Tuples {
+		if i == 0 || t[col] != c.Tuples[i-1][col] {
+			c.Values = append(c.Values, t[col])
+			c.Starts = append(c.Starts, i)
+		}
+	}
+	c.Starts = append(c.Starts, len(c.Tuples))
+}
+
+// Group returns the run of tuples whose grouping value is v, found by binary
+// search over Values; nil when the chunk holds no such tuple.
+func (c *Chunk) Group(v int64) []tuple.Tuple {
+	i, ok := slices.BinarySearch(c.Values, v)
+	if !ok {
+		return nil
+	}
+	return c.Tuples[c.Starts[i]:c.Starts[i+1]]
+}
+
+// cutSlab returns the n tuples of the given arity laid end to end in slab,
+// each with its capacity clipped so an append cannot reach its neighbour.
+func cutSlab(slab []int64, n, arity int) []tuple.Tuple {
+	out := make([]tuple.Tuple, n)
+	for i := range out {
+		out[i] = slab[i*arity : (i+1)*arity : (i+1)*arity]
+	}
+	return out
+}
+
 // LoadChunks implements "load R(e) into memory as M(e)": it reads the view
-// in chunks of M tuples and calls fn for each. The chunk is released after
-// fn returns unless fn retains it by returning an error.
+// in chunks of M tuples and calls fn for each. The chunk is released when fn
+// returns.
 func (r *Relation) LoadChunks(fn func(c *Chunk) error) error {
 	d := r.Disk()
 	m := d.M()
+	arity := len(r.schema)
 	rd := r.Reader()
 	for rd.Remaining() > 0 {
 		if err := d.Grab(m); err != nil {
 			return err
 		}
-		c := &Chunk{disk: d, held: m}
-		for len(c.Tuples) < m {
+		slab := make([]int64, 0, min(m, rd.Remaining())*arity)
+		n := 0
+		for ; n < m; n++ {
 			t := rd.Next()
 			if t == nil {
 				break
 			}
-			c.Tuples = append(c.Tuples, tuple.Clone(t))
+			slab = append(slab, t...)
 		}
+		c := &Chunk{Tuples: cutSlab(slab, n, arity), disk: d, held: m}
 		err := fn(c)
 		c.Release()
 		if err != nil {
@@ -429,7 +476,8 @@ func (r *Relation) LoadChunks(fn func(c *Chunk) error) error {
 // LoadChunksBy implements "load R(e) by v into memory as M(e)" for light
 // values (Section 2.3): whole value groups are loaded until at least M
 // tuples are in memory (at most 2M when every group is light). The view
-// must be sorted by a.
+// must be sorted by a, so each chunk is a sorted run and arrives indexed
+// (Values, Starts) on a.
 func (r *Relation) LoadChunksBy(a tuple.Attr, fn func(c *Chunk) error) error {
 	if !r.SortedByAttr(a) {
 		return fmt.Errorf("relation: LoadChunksBy(v%d) on view not sorted by it", a)
@@ -437,31 +485,38 @@ func (r *Relation) LoadChunksBy(a tuple.Attr, fn func(c *Chunk) error) error {
 	d := r.Disk()
 	m := d.M()
 	c0 := r.Col(a)
+	arity := len(r.schema)
 	rd := r.Reader()
+	buf := make(tuple.Tuple, arity)
 	var pending tuple.Tuple // first tuple of the next group, already read
 	for rd.Remaining() > 0 || pending != nil {
 		if err := d.Grab(2 * m); err != nil {
 			return err
 		}
-		c := &Chunk{disk: d, held: 2 * m, Values: map[int64]bool{}}
+		size := rd.Remaining()
 		if pending != nil {
-			c.Tuples = append(c.Tuples, pending)
-			c.Values[pending[c0]] = true
-			pending = nil
+			size++
+		}
+		slab := make([]int64, 0, min(2*m, size)*arity)
+		n := 0
+		if pending != nil {
+			slab = append(slab, pending...)
+			n, pending = 1, nil
 		}
 		for {
 			t := rd.Next()
 			if t == nil {
 				break
 			}
-			v := t[c0]
-			if len(c.Tuples) >= m && !c.Values[v] {
-				pending = tuple.Clone(t)
+			if n >= m && t[c0] != slab[(n-1)*arity+c0] {
+				pending = append(buf[:0], t...)
 				break
 			}
-			c.Tuples = append(c.Tuples, tuple.Clone(t))
-			c.Values[v] = true
+			slab = append(slab, t...)
+			n++
 		}
+		c := &Chunk{Tuples: cutSlab(slab, n, arity), disk: d, held: 2 * m}
+		c.IndexRuns(c0)
 		err := fn(c)
 		c.Release()
 		if err != nil {

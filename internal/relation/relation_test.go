@@ -1,7 +1,9 @@
 package relation
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"acyclicjoin/internal/extmem"
@@ -210,17 +212,23 @@ func TestLoadChunksBy(t *testing.T) {
 		if len(c.Tuples) > 2*4 {
 			t.Fatalf("chunk exceeds 2M: %d", len(c.Tuples))
 		}
-		// Group integrity: all tuples of a value must be in one chunk.
-		for v := range c.Values {
-			want := map[int64]int{1: 3, 2: 3, 3: 2, 4: 1}[v]
-			got := 0
-			for _, tp := range c.Tuples {
-				if tp[0] == v {
-					got++
+		// Layout: Values strictly ascending, Starts bracketing one run each.
+		if len(c.Starts) != len(c.Values)+1 || c.Starts[0] != 0 || c.Starts[len(c.Values)] != len(c.Tuples) {
+			t.Fatalf("starts %v do not bracket %d tuples for values %v", c.Starts, len(c.Tuples), c.Values)
+		}
+		for i, v := range c.Values {
+			if i > 0 && c.Values[i-1] >= v {
+				t.Fatalf("values not strictly ascending: %v", c.Values)
+			}
+			run := c.Tuples[c.Starts[i]:c.Starts[i+1]]
+			for _, tp := range run {
+				if tp[0] != v {
+					t.Fatalf("run of %d holds %v", v, tp)
 				}
 			}
-			if got != want {
-				t.Fatalf("group %d split: %d of %d in chunk", v, got, want)
+			// Group integrity: all tuples of a value must be in one chunk.
+			if want := map[int64]int{1: 3, 2: 3, 3: 2, 4: 1}[v]; len(run) != want {
+				t.Fatalf("group %d split: %d of %d in chunk", v, len(run), want)
 			}
 		}
 		total += len(c.Tuples)
@@ -276,25 +284,45 @@ func TestSemijoin(t *testing.T) {
 	}
 }
 
-func TestSemijoinValuesAndAnti(t *testing.T) {
-	d := disk(16, 4)
-	r := FromTuples(d, tuple.Schema{0, 1}, []tuple.Tuple{
-		{1, 10}, {2, 20}, {3, 30},
-	})
-	vals := map[int64]bool{1: true, 3: true}
-	in, err := SemijoinValues(r, 0, vals)
-	if err != nil {
-		t.Fatal(err)
+// TestSemijoinValues grades SemijoinValues against a brute-force filter on a
+// view sorted by the attribute and on an unsorted one.
+func TestSemijoinValues(t *testing.T) {
+	rows := []tuple.Tuple{
+		{3, 30}, {math.MinInt64, 1}, {-7, 70}, {math.MaxInt64, 2}, {0, 0},
+		{-7, 71}, {3, 31}, {math.MaxInt64 - 1, 3}, {-1, 10}, {math.MinInt64 + 1, 4},
 	}
-	if in.Len() != 2 {
-		t.Fatalf("semijoin len = %d", in.Len())
-	}
-	out, err := AntiSemijoinValues(r, 0, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 1 || Contents(out)[0][0] != 2 {
-		t.Fatalf("anti = %v", Contents(out))
+	for _, tc := range []struct {
+		name string
+		vals []int64
+	}{
+		{"empty", []int64{}},
+		{"nil", nil},
+		{"negative", []int64{-7, -1}},
+		{"extremes", []int64{math.MinInt64, math.MaxInt64}},
+		{"absent", []int64{-8, 1, 2, 4}},
+		{"mixed", []int64{math.MinInt64, -7, 0, 3, 5, math.MaxInt64 - 1}},
+	} {
+		d := disk(16, 4)
+		unsorted := FromTuples(d, tuple.Schema{0, 1}, rows)
+		sorted, err := unsorted.SortBy(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []*Relation{unsorted, sorted} {
+			var want []tuple.Tuple
+			for _, tp := range Contents(r) {
+				if slices.Contains(tc.vals, tp[0]) {
+					want = append(want, tp)
+				}
+			}
+			out, err := SemijoinValues(r, 0, tc.vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := Contents(out); !slices.EqualFunc(got, want, slices.Equal[tuple.Tuple]) {
+				t.Errorf("%s (sorted=%v): got %v, want %v", tc.name, r.SortedByAttr(0), got, want)
+			}
+		}
 	}
 }
 

@@ -460,16 +460,15 @@ func runOnce(ctx context.Context, q *Query, inst *Instance, opts Options, cfg ex
 		}
 	}
 
-	// Emit adapter: decode assignments into Rows.
-	attrOrder := make([]string, len(q.attrNames))
-	copy(attrOrder, q.attrNames)
+	// Emit adapter: decode assignments into Rows. q.attrNames is indexed by
+	// attribute id.
 	coreEmit := func(a tuple.Assignment) {
 		count++
 		if emit == nil {
 			return
 		}
-		row := make(Row, len(attrOrder))
-		for name, id := range q.attrIDs {
+		row := make(Row, len(q.attrNames))
+		for id, name := range q.attrNames {
 			if a.Has(id) {
 				row[name] = inst.decode(id, a.Get(id))
 			}
